@@ -2,11 +2,14 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * event queue scheduling, cache tag lookups, DRAM bank timing, the
- * Zipf sampler and the EB-Streamer gather loop. These bound the
+ * Zipf sampler, the EB-Streamer gather loop and the functional DLRM
+ * pass. These bound the
  * wall-clock cost of the paper-reproduction sweeps.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "cache/hierarchy.hh"
 #include "dlrm/reference_model.hh"
@@ -179,10 +182,12 @@ BM_MlpUnitGemmTiming(benchmark::State &state)
 }
 BENCHMARK(BM_MlpUnitGemmTiming);
 
+// The functional DLRM pass every System::infer runs: pooled
+// embedding reduction plus both MLPs on materialized weights.
 void
 BM_ReferenceForward(benchmark::State &state)
 {
-    const DlrmConfig cfg = dlrmPreset(1);
+    const DlrmConfig cfg = dlrmPreset(static_cast<int>(state.range(0)));
     ReferenceModel model(cfg);
     WorkloadConfig wl;
     wl.batch = 4;
@@ -192,7 +197,25 @@ BM_ReferenceForward(benchmark::State &state)
         benchmark::DoNotOptimize(model.forward(batch));
     state.SetItemsProcessed(state.iterations() * wl.batch);
 }
-BENCHMARK(BM_ReferenceForward);
+BENCHMARK(BM_ReferenceForward)->Arg(1)->Arg(6);
+
+// Pooling one synthesized row: one hash round per element on top of
+// the row's hoisted prefix.
+void
+BM_EmbeddingAccumulateRow(benchmark::State &state)
+{
+    const VirtualEmbeddingTable table(0, 1000000, 32, 0);
+    std::vector<float> out(table.dim(), 0.0f);
+    std::uint64_t row = 0;
+    for (auto _ : state) {
+        table.accumulateRow(row, out.data());
+        row = (row + 7919) % table.rows();
+        benchmark::ClobberMemory();
+    }
+    benchmark::DoNotOptimize(out.data());
+    state.SetItemsProcessed(state.iterations() * table.dim());
+}
+BENCHMARK(BM_EmbeddingAccumulateRow);
 
 } // namespace
 

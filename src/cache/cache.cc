@@ -1,6 +1,6 @@
 #include "cache/cache.hh"
 
-#include <limits>
+#include <algorithm>
 
 #include "sim/log.hh"
 
@@ -9,7 +9,8 @@ namespace centaur {
 Cache::Cache(const CacheConfig &cfg)
     : _cfg(cfg), _sets(cfg.sets()),
       _hitLatency(ticksFromNs(cfg.hitLatencyNs)),
-      _ways(cfg.sets() * cfg.ways)
+      _tags(cfg.sets() * cfg.ways, kInvalid),
+      _stamps(cfg.sets() * cfg.ways)
 {
     if (_sets == 0)
         fatal("cache '", cfg.name, "' has zero sets: size ",
@@ -19,112 +20,98 @@ Cache::Cache(const CacheConfig &cfg)
                          cfg.lineBytes) != 0)
         fatal("cache '", cfg.name,
               "' size is not a multiple of ways*lineBytes");
+    // Tags are below ~0 / (lineBytes * sets), so kInvalid is free
+    // unless a line is one byte in a single set.
+    if (_sets * cfg.lineBytes < 2)
+        fatal("cache '", cfg.name, "' needs more than one byte per set");
+}
+
+std::uint32_t
+Cache::findWay(std::uint64_t set, std::uint64_t tag) const
+{
+    const std::uint64_t *tags = &_tags[set * _cfg.ways];
+    std::uint32_t w = 0;
+    while (w < _cfg.ways && tags[w] != tag)
+        ++w;
+    return w;
 }
 
 CacheAccessResult
 Cache::access(Addr addr)
 {
     ++_accesses;
+    ++_clock;
     const Addr line = addr / _cfg.lineBytes;
     const std::uint64_t set = setIndex(line);
     const std::uint64_t tag = tagOf(line);
-    Way *base = &_ways[set * _cfg.ways];
-    ++_clock;
-
-    for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            if (_cfg.policy == ReplacementPolicy::Lru)
-                base[w].stamp = _clock;
-            return CacheAccessResult{true, false, 0};
-        }
+    const std::uint32_t w = findWay(set, tag);
+    if (w < _cfg.ways) {
+        if (_cfg.policy == ReplacementPolicy::Lru)
+            _stamps[set * _cfg.ways + w] = _clock;
+        return CacheAccessResult{true, false, 0};
     }
-
     ++_misses;
-    const std::size_t victim = victimWay(set);
-    Way &way = base[victim];
-    CacheAccessResult res;
-    res.hit = false;
-    res.evictedValid = way.valid;
-    if (way.valid)
-        res.evictedAddr = (way.tag * _sets + set) * _cfg.lineBytes;
-    way.valid = true;
-    way.tag = tag;
-    way.stamp = _clock;
-    return res;
+    return allocate(set, tag);
 }
 
 bool
 Cache::probe(Addr addr) const
 {
     const Addr line = addr / _cfg.lineBytes;
-    const std::uint64_t set = line % _sets;
-    const std::uint64_t tag = line / _sets;
-    const Way *base = &_ways[set * _cfg.ways];
-    for (std::uint32_t w = 0; w < _cfg.ways; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
+    return findWay(setIndex(line), tagOf(line)) < _cfg.ways;
 }
 
 CacheAccessResult
 Cache::fill(Addr addr)
 {
+    ++_clock;
     const Addr line = addr / _cfg.lineBytes;
     const std::uint64_t set = setIndex(line);
     const std::uint64_t tag = tagOf(line);
-    Way *base = &_ways[set * _cfg.ways];
-    ++_clock;
+    if (findWay(set, tag) < _cfg.ways)
+        return CacheAccessResult{true, false, 0};
+    return allocate(set, tag);
+}
 
-    for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return CacheAccessResult{true, false, 0};
-    }
-    const std::size_t victim = victimWay(set);
-    Way &way = base[victim];
+CacheAccessResult
+Cache::allocate(std::uint64_t set, std::uint64_t tag)
+{
+    const std::size_t base = set * _cfg.ways;
+    const std::size_t way = base + victimWay(base);
     CacheAccessResult res;
-    res.hit = false;
-    res.evictedValid = way.valid;
-    if (way.valid)
-        res.evictedAddr = (way.tag * _sets + set) * _cfg.lineBytes;
-    way.valid = true;
-    way.tag = tag;
-    way.stamp = _clock;
+    if (_tags[way] != kInvalid) {
+        res.evictedValid = true;
+        res.evictedAddr = (_tags[way] * _sets + set) * _cfg.lineBytes;
+    }
+    _tags[way] = tag;
+    _stamps[way] = _clock;
     return res;
 }
 
 std::size_t
-Cache::victimWay(std::uint64_t set)
+Cache::victimWay(std::size_t base)
 {
-    Way *base = &_ways[set * _cfg.ways];
-    // Prefer an invalid way.
+    // Prefer an empty way.
+    const std::uint64_t *tags = &_tags[base];
     for (std::uint32_t w = 0; w < _cfg.ways; ++w)
-        if (!base[w].valid)
+        if (tags[w] == kInvalid)
             return w;
 
-    switch (_cfg.policy) {
-      case ReplacementPolicy::Random:
+    if (_cfg.policy == ReplacementPolicy::Random)
         return static_cast<std::size_t>(_rng.nextBelow(_cfg.ways));
-      case ReplacementPolicy::Lru:
-      case ReplacementPolicy::Fifo: {
-        std::size_t victim = 0;
-        std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-        for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-            if (base[w].stamp < oldest) {
-                oldest = base[w].stamp;
-                victim = w;
-            }
-        }
-        return victim;
-      }
-    }
-    panic("unreachable replacement policy");
+    // LRU and FIFO: the lowest stamp, the first way on ties.
+    const std::uint64_t *stamps = &_stamps[base];
+    std::size_t victim = 0;
+    for (std::uint32_t w = 1; w < _cfg.ways; ++w)
+        if (stamps[w] < stamps[victim])
+            victim = w;
+    return victim;
 }
 
 void
 Cache::flush()
 {
-    for (auto &way : _ways)
-        way.valid = false;
+    std::fill(_tags.begin(), _tags.end(), kInvalid);
 }
 
 void

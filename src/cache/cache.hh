@@ -99,21 +99,27 @@ class Cache
     }
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t stamp = 0; //!< LRU: last use; FIFO: insert time
-    };
+    /** Tag of an empty way; no line address maps to it. */
+    static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
 
     std::uint64_t setIndex(Addr line) const { return line % _sets; }
     std::uint64_t tagOf(Addr line) const { return line / _sets; }
-    std::size_t victimWay(std::uint64_t set);
+
+    /** Way of @p set holding @p tag, or _cfg.ways when absent. */
+    std::uint32_t findWay(std::uint64_t set, std::uint64_t tag) const;
+
+    /** Install @p tag in @p set, displacing the victim way. */
+    CacheAccessResult allocate(std::uint64_t set, std::uint64_t tag);
+
+    std::size_t victimWay(std::size_t base);
 
     CacheConfig _cfg;
     std::uint64_t _sets;
     Tick _hitLatency;
-    std::vector<Way> _ways; //!< _sets x _cfg.ways, row-major
+    // Split arrays, _sets x _cfg.ways row-major each: a hit scans the
+    // tags only (8 B/way) and touches one stamp afterwards.
+    std::vector<std::uint64_t> _tags;   //!< kInvalid = empty way
+    std::vector<std::uint64_t> _stamps; //!< LRU: last use; FIFO: insert
     std::uint64_t _clock = 0;
     Rng _rng{0xC0FFEE};
 

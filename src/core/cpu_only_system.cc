@@ -87,7 +87,7 @@ CpuOnlySystem::infer(const InferenceBatch &batch)
 
     // ----- top MLP (MLP) -----
     const std::uint64_t bottom_params =
-        Mlp(1, cfg.bottomLayerDims()).paramCount();
+        _model.bottomMlp().paramCount();
     now = runMlpStack(cfg.topLayerDims(), batch.batch,
                       _model.layout().outputBase,
                       _model.layout().mlpWeightBase +

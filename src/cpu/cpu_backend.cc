@@ -115,7 +115,7 @@ CpuMlpBackend::run(const InferenceBatch &batch,
 
     // ----- top MLP (MLP) -----
     const std::uint64_t bottom_params =
-        Mlp(1, cfg.bottomLayerDims()).paramCount();
+        _model.bottomMlp().paramCount();
     now = runMlpStack(cfg.topLayerDims(), batch.batch,
                       _model.layout().outputBase,
                       _model.layout().mlpWeightBase +

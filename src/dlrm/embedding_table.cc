@@ -15,19 +15,27 @@ hash(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+std::uint64_t
+hashPrefix(std::uint64_t domain, std::uint64_t a, std::uint64_t b)
+{
+    return hash(hash(hash(domain) ^ a) ^ b);
+}
+
+float
+finishFloat(std::uint64_t prefix, std::uint64_t c, float scale)
+{
+    // Map the top 24 bits to [-1, 1), then scale.
+    const auto bits = static_cast<std::uint32_t>(hash(prefix ^ c) >> 40);
+    const float unit =
+        static_cast<float>(bits) / 8388608.0f - 1.0f; // 2^23
+    return unit * scale;
+}
+
 float
 hashedFloat(std::uint64_t domain, std::uint64_t a, std::uint64_t b,
             std::uint64_t c, float scale)
 {
-    std::uint64_t h = hash(domain);
-    h = hash(h ^ a);
-    h = hash(h ^ b);
-    h = hash(h ^ c);
-    // Map the top 24 bits to [-1, 1), then scale.
-    const auto bits = static_cast<std::uint32_t>(h >> 40);
-    const float unit =
-        static_cast<float>(bits) / 8388608.0f - 1.0f; // 2^23
-    return unit * scale;
+    return finishFloat(hashPrefix(domain, a, b), c, scale);
 }
 
 } // namespace paramgen
@@ -42,22 +50,45 @@ VirtualEmbeddingTable::VirtualEmbeddingTable(std::uint32_t table_id,
         fatal("embedding table needs nonzero rows and dim");
 }
 
-float
-VirtualEmbeddingTable::element(std::uint64_t row, std::uint32_t d) const
+namespace {
+
+constexpr std::uint64_t kTableDomain = 0xE3B0;
+// Keeps reduced sums of ~100 vectors within sigmoid's useful dynamic
+// range.
+constexpr float kTableScale = 0.05f;
+
+} // namespace
+
+std::uint64_t
+VirtualEmbeddingTable::rowPrefix(std::uint64_t row) const
 {
     if (row >= _rows)
         panic("embedding row ", row, " out of range (table ", _id,
               " has ", _rows, " rows)");
-    // Scale keeps reduced sums of ~100 vectors within sigmoid's
-    // useful dynamic range.
-    return paramgen::hashedFloat(0xE3B0, _id, row, d, 0.05f);
+    return paramgen::hashPrefix(kTableDomain, _id, row);
+}
+
+float
+VirtualEmbeddingTable::element(std::uint64_t row, std::uint32_t d) const
+{
+    return paramgen::finishFloat(rowPrefix(row), d, kTableScale);
 }
 
 void
 VirtualEmbeddingTable::row(std::uint64_t row_idx, float *out) const
 {
+    const std::uint64_t prefix = rowPrefix(row_idx);
     for (std::uint32_t d = 0; d < _dim; ++d)
-        out[d] = element(row_idx, d);
+        out[d] = paramgen::finishFloat(prefix, d, kTableScale);
+}
+
+void
+VirtualEmbeddingTable::accumulateRow(std::uint64_t row_idx,
+                                     float *out) const
+{
+    const std::uint64_t prefix = rowPrefix(row_idx);
+    for (std::uint32_t d = 0; d < _dim; ++d)
+        out[d] += paramgen::finishFloat(prefix, d, kTableScale);
 }
 
 MemoryLayout

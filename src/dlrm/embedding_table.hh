@@ -25,7 +25,22 @@ namespace paramgen {
 /** SplitMix64 hash. */
 std::uint64_t hash(std::uint64_t x);
 
-/** Hash of a (domain, a, b, c) tuple to a float in [-scale, scale]. */
+/**
+ * Hash prefix of a (domain, a, b) tuple. A caller synthesizing many
+ * values that share (domain, a, b) - a table row, an MLP weight row -
+ * hashes the prefix once and pays one round per value in
+ * finishFloat().
+ */
+std::uint64_t hashPrefix(std::uint64_t domain, std::uint64_t a,
+                         std::uint64_t b);
+
+/** Finish @p prefix with @p c to a float in [-scale, scale]. */
+float finishFloat(std::uint64_t prefix, std::uint64_t c, float scale);
+
+/**
+ * Hash of a (domain, a, b, c) tuple to a float in [-scale, scale]:
+ * finishFloat(hashPrefix(domain, a, b), c, scale).
+ */
 float hashedFloat(std::uint64_t domain, std::uint64_t a, std::uint64_t b,
                   std::uint64_t c, float scale);
 
@@ -53,6 +68,9 @@ class VirtualEmbeddingTable
     /** Materialize a whole row. */
     void row(std::uint64_t row, float *out) const;
 
+    /** Add a whole row into @p out (dim() floats), element by element. */
+    void accumulateRow(std::uint64_t row, float *out) const;
+
     /** Physical address of the first byte of @p row. */
     Addr
     rowAddr(std::uint64_t row) const
@@ -72,6 +90,9 @@ class VirtualEmbeddingTable
     std::uint64_t sizeBytes() const { return _rows * rowBytes(); }
 
   private:
+    /** Bound-check @p row and return its hash prefix. */
+    std::uint64_t rowPrefix(std::uint64_t row) const;
+
     std::uint32_t _id;
     std::uint64_t _rows;
     std::uint32_t _dim;

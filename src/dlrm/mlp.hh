@@ -23,7 +23,10 @@ enum class Activation : std::uint8_t
 /**
  * A dense MLP: y = act(W x + b) per layer. Parameters are synthesized
  * deterministically from (mlp_id, layer, i, j) hashes so CPU, GPU and
- * FPGA models all see identical weights with no storage or loading.
+ * FPGA models all see identical weights without loading any; the
+ * constructor materializes them once into one row-major [out][in]
+ * weight buffer and one bias buffer per layer, so a forward pass is
+ * plain multiply-accumulates.
  */
 class Mlp
 {
@@ -39,11 +42,21 @@ class Mlp
         Activation final_act = Activation::Relu);
 
     /** Weight element W[layer][out_idx][in_idx]. */
-    float weight(std::size_t layer, std::uint32_t out_idx,
-                 std::uint32_t in_idx) const;
+    float
+    weight(std::size_t layer, std::uint32_t out_idx,
+           std::uint32_t in_idx) const
+    {
+        return _weights[layer]
+                       [static_cast<std::size_t>(out_idx) * _dims[layer] +
+                        in_idx];
+    }
 
     /** Bias element b[layer][out_idx]. */
-    float bias(std::size_t layer, std::uint32_t out_idx) const;
+    float
+    bias(std::size_t layer, std::uint32_t out_idx) const
+    {
+        return _biases[layer][out_idx];
+    }
 
     /** Forward one sample: @p in has inputDim() floats. */
     std::vector<float> forward(const float *in) const;
@@ -64,10 +77,11 @@ class Mlp
     std::uint64_t macsPerSample() const;
 
   private:
-    std::uint64_t _id;
     std::vector<std::uint32_t> _dims;
     Activation _hiddenAct;
     Activation _finalAct;
+    std::vector<std::vector<float>> _weights; //!< [layer][out * in + in]
+    std::vector<std::vector<float>> _biases;  //!< [layer][out]
 };
 
 /** Numerically exact logistic sigmoid (reference). */

@@ -38,8 +38,7 @@ ReferenceModel::reduceEmbeddings(const InferenceBatch &batch) const
                 const std::uint64_t row =
                     idx[static_cast<std::size_t>(b) *
                             batch.lookupsPerTable + j];
-                for (std::uint32_t d = 0; d < dim; ++d)
-                    out[d] += _tables[t]->element(row, d);
+                _tables[t]->accumulateRow(row, out);
             }
         }
     }

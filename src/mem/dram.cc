@@ -63,8 +63,8 @@ DramModel::access(Addr addr, Tick issue)
     ++_reads;
     if (res.rowHit)
         ++_rowHits;
-    _stats.scalar("bytes") += static_cast<double>(_cfg.lineBytes);
-    _stats.average("latency_ns").sample(nsFromTicks(done - issue));
+    _bytes += static_cast<double>(_cfg.lineBytes);
+    _latencyNs.sample(nsFromTicks(done - issue));
 
     res.completion = done;
     return res;

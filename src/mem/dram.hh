@@ -88,6 +88,9 @@ class DramModel
 {
   public:
     explicit DramModel(const DramConfig &cfg = DramConfig{});
+    // The stat references bind to this object's own StatGroup.
+    DramModel(const DramModel &) = delete;
+    DramModel &operator=(const DramModel &) = delete;
 
     /** Access one 64 B line. */
     DramAccessResult access(Addr addr, Tick issue);
@@ -141,6 +144,10 @@ class DramModel
     std::uint64_t _reads = 0;
     std::uint64_t _rowHits = 0;
     StatGroup _stats{"dram"};
+    // Bound once: StatGroup::resetAll resets in place, so these stay
+    // valid and access() skips two name lookups per line.
+    StatScalar &_bytes = _stats.scalar("bytes");
+    StatAverage &_latencyNs = _stats.average("latency_ns");
 };
 
 } // namespace centaur

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "sim/random.hh"
@@ -184,6 +187,14 @@ TEST(CacheDeath, RejectsNonMultipleGeometry)
                  "multiple");
 }
 
+TEST(CacheDeath, RejectsOneByteSingleSetGeometry)
+{
+    // Its tags would span every u64, the empty-way sentinel included.
+    EXPECT_DEATH(Cache(CacheConfig{"bad", 4, 4, 1, 1.0,
+                                   ReplacementPolicy::Lru}),
+                 "more than one byte per set");
+}
+
 // ---------------------------------------------------------------
 // Property sweep: random access streams across geometries must keep
 // accesses == hits + misses and respect capacity bounds.
@@ -219,6 +230,200 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Geometry{8 * kKiB, 2}, Geometry{32 * kKiB, 8},
                       Geometry{256 * kKiB, 8},
                       Geometry{1 * kMiB, 16}));
+
+// ---------------------------------------------------------------
+// Oracle: a test-local copy of the original array-of-structs cache
+// model ({valid, tag, stamp} per way, invalid-first then
+// lowest-stamp-first-on-ties or the seeded Rng), driven in lockstep
+// with Cache. Any change to hits, victims or counters shows up as a
+// divergence at the first step that differs.
+// ---------------------------------------------------------------
+
+class OracleCache
+{
+  public:
+    explicit OracleCache(const CacheConfig &cfg)
+        : _cfg(cfg), _sets(cfg.sets()), _ways(_sets * cfg.ways)
+    {
+    }
+
+    CacheAccessResult
+    access(Addr addr)
+    {
+        ++_accesses;
+        return lookupOrAllocate(addr, true);
+    }
+
+    CacheAccessResult
+    fill(Addr addr)
+    {
+        return lookupOrAllocate(addr, false);
+    }
+
+    bool
+    probe(Addr addr) const
+    {
+        const Addr line = addr / _cfg.lineBytes;
+        const Way *base = &_ways[(line % _sets) * _cfg.ways];
+        for (std::uint32_t w = 0; w < _cfg.ways; ++w)
+            if (base[w].valid && base[w].tag == line / _sets)
+                return true;
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (Way &way : _ways)
+            way.valid = false;
+    }
+
+    std::uint64_t accesses() const { return _accesses; }
+    std::uint64_t misses() const { return _misses; }
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        std::uint64_t tag = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    CacheAccessResult
+    lookupOrAllocate(Addr addr, bool counted)
+    {
+        const Addr line = addr / _cfg.lineBytes;
+        const std::uint64_t set = line % _sets;
+        const std::uint64_t tag = line / _sets;
+        Way *base = &_ways[set * _cfg.ways];
+        ++_clock;
+        for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
+            if (base[w].valid && base[w].tag == tag) {
+                if (counted && _cfg.policy == ReplacementPolicy::Lru)
+                    base[w].stamp = _clock;
+                return CacheAccessResult{true, false, 0};
+            }
+        }
+        if (counted)
+            ++_misses;
+        Way &way = base[victimWay(base)];
+        CacheAccessResult res;
+        res.evictedValid = way.valid;
+        if (way.valid)
+            res.evictedAddr = (way.tag * _sets + set) * _cfg.lineBytes;
+        way.valid = true;
+        way.tag = tag;
+        way.stamp = _clock;
+        return res;
+    }
+
+    std::size_t
+    victimWay(const Way *base)
+    {
+        for (std::uint32_t w = 0; w < _cfg.ways; ++w)
+            if (!base[w].valid)
+                return w;
+        if (_cfg.policy == ReplacementPolicy::Random)
+            return static_cast<std::size_t>(_rng.nextBelow(_cfg.ways));
+        std::size_t victim = 0;
+        std::uint64_t oldest = ~std::uint64_t{0};
+        for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
+            if (base[w].stamp < oldest) {
+                oldest = base[w].stamp;
+                victim = w;
+            }
+        }
+        return victim;
+    }
+
+    CacheConfig _cfg;
+    std::uint64_t _sets;
+    std::vector<Way> _ways;
+    std::uint64_t _clock = 0;
+    Rng _rng{0xC0FFEE};
+    std::uint64_t _accesses = 0;
+    std::uint64_t _misses = 0;
+};
+
+using OracleCase = std::tuple<CacheConfig, ReplacementPolicy>;
+
+std::string
+oracleCaseName(const ::testing::TestParamInfo<OracleCase> &info)
+{
+    static const char *const kPolicies[] = {"lru", "fifo", "random"};
+    return std::get<0>(info.param).name + "_" +
+           kPolicies[static_cast<int>(std::get<1>(info.param))];
+}
+
+class CacheOracleTest : public ::testing::TestWithParam<OracleCase>
+{
+};
+
+TEST_P(CacheOracleTest, LockstepWithOriginalModel)
+{
+    CacheConfig cfg = std::get<0>(GetParam());
+    cfg.policy = std::get<1>(GetParam());
+    Cache cache(cfg);
+    OracleCache oracle(cfg);
+    const std::uint64_t sets = cfg.sets();
+    // Three quarters of the lines land in a few hot sets with twice
+    // as many tags as ways, so every set fills up and evicts; the
+    // rest are scattered over a 64 GiB space.
+    const std::uint64_t hot_sets = std::min<std::uint64_t>(sets, 61);
+    Rng rng(2024);
+    for (int step = 0; step < 200000; ++step) {
+        const Addr line =
+            rng.nextBelow(4) != 0
+                ? rng.nextBelow(hot_sets) +
+                      sets * rng.nextBelow(2 * cfg.ways)
+                : rng.nextBelow(Addr{1} << 30);
+        const Addr addr = line * cfg.lineBytes +
+                          rng.nextBelow(cfg.lineBytes);
+        const std::uint64_t op = rng.nextBelow(10000);
+        if (op < 7000) {
+            const CacheAccessResult got = cache.access(addr);
+            const CacheAccessResult want = oracle.access(addr);
+            ASSERT_EQ(got.hit, want.hit) << "step " << step;
+            ASSERT_EQ(got.evictedValid, want.evictedValid)
+                << "step " << step;
+            ASSERT_EQ(got.evictedAddr, want.evictedAddr)
+                << "step " << step;
+        } else if (op < 8500) {
+            const CacheAccessResult got = cache.fill(addr);
+            const CacheAccessResult want = oracle.fill(addr);
+            ASSERT_EQ(got.hit, want.hit) << "step " << step;
+            ASSERT_EQ(got.evictedValid, want.evictedValid)
+                << "step " << step;
+            ASSERT_EQ(got.evictedAddr, want.evictedAddr)
+                << "step " << step;
+        } else if (op < 9998) {
+            ASSERT_EQ(cache.probe(addr), oracle.probe(addr))
+                << "step " << step;
+        } else {
+            cache.flush();
+            oracle.flush();
+        }
+        ASSERT_EQ(cache.accesses(), oracle.accesses()) << "step " << step;
+        ASSERT_EQ(cache.misses(), oracle.misses()) << "step " << step;
+    }
+    EXPECT_GT(cache.misses(), 0U);
+    EXPECT_GT(cache.hits(), 0U);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheOracleTest,
+    ::testing::Combine(
+        ::testing::Values(
+            CacheConfig{"l1", 32 * kKiB, 8, 64, 1.5,
+                        ReplacementPolicy::Lru},
+            CacheConfig{"l2", 1 * kMiB, 16, 64, 4.0,
+                        ReplacementPolicy::Lru},
+            CacheConfig{"llc", 35 * kMiB, 20, 64, 18.0,
+                        ReplacementPolicy::Lru}),
+        ::testing::Values(ReplacementPolicy::Lru,
+                          ReplacementPolicy::Fifo,
+                          ReplacementPolicy::Random)),
+    oracleCaseName);
 
 } // namespace
 } // namespace centaur
