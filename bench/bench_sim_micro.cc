@@ -1,10 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
- * event queue scheduling, cache tag lookups, DRAM bank timing, the
- * Zipf sampler, the EB-Streamer gather loop and the functional DLRM
- * pass. These bound the
- * wall-clock cost of the paper-reproduction sweeps.
+ * event queue scheduling, cache tag lookups and the all-level miss
+ * path, DRAM bank timing, the Zipf sampler, the EB-Streamer gather
+ * loop and the functional DLRM pass. These bound the wall-clock cost
+ * of the paper-reproduction sweeps.
  */
 
 #include <benchmark/benchmark.h>
@@ -112,6 +112,21 @@ BM_CacheRandomAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheRandomAccess);
+
+// The embedding gather's common case: random lines over a 4 GiB
+// footprint miss and allocate at L1, L2 and the LLC.
+void
+BM_HierarchyMissPath(benchmark::State &state)
+{
+    CacheHierarchy hier(broadwellHierarchyConfig());
+    Rng rng(42);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            hier.access(rng.nextBelow(1 << 26) * 64));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HierarchyMissPath);
 
 void
 BM_DramRandomAccess(benchmark::State &state)

@@ -1,16 +1,50 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
+#include <cstring>
+#include <ios>
 
 #include "sim/log.hh"
 
 namespace centaur {
 
+namespace {
+
+constexpr std::uint64_t kBlockAlign = 64;
+
+unsigned
+log2Exact(std::uint64_t v)
+{
+    unsigned s = 0;
+    while ((std::uint64_t{1} << s) < v)
+        ++s;
+    return s;
+}
+
+bool
+isPow2(std::uint64_t v)
+{
+    return v != 0 && (v & (v - 1)) == 0;
+}
+
+/**
+ * Make @p way the newest of a set: every way younger than @p age (the
+ * way's rank, or @p ways when it was empty) ages by one. Empty ways
+ * age too; their ranks are never read, and filling one zeroes it.
+ */
+void
+touch(std::uint8_t *ranks, std::uint32_t ways, std::uint32_t way,
+      std::uint32_t age)
+{
+    for (std::uint32_t w = 0; w < ways; ++w)
+        ranks[w] += ranks[w] < age;
+    ranks[way] = 0;
+}
+
+} // namespace
+
 Cache::Cache(const CacheConfig &cfg)
     : _cfg(cfg), _sets(cfg.sets()),
-      _hitLatency(ticksFromNs(cfg.hitLatencyNs)),
-      _tags(cfg.sets() * cfg.ways, kInvalid),
-      _stamps(cfg.sets() * cfg.ways)
+      _hitLatency(ticksFromNs(cfg.hitLatencyNs))
 {
     if (_sets == 0)
         fatal("cache '", cfg.name, "' has zero sets: size ",
@@ -20,98 +54,122 @@ Cache::Cache(const CacheConfig &cfg)
                          cfg.lineBytes) != 0)
         fatal("cache '", cfg.name,
               "' size is not a multiple of ways*lineBytes");
-    // Tags are below ~0 / (lineBytes * sets), so kInvalid is free
-    // unless a line is one byte in a single set.
+    // A single set of one-byte lines would spend the 32-bit tag range
+    // on the first 4 GiB.
     if (_sets * cfg.lineBytes < 2)
         fatal("cache '", cfg.name, "' needs more than one byte per set");
+    if (!isPow2(cfg.lineBytes))
+        fatal("cache '", cfg.name, "' line size ", cfg.lineBytes,
+              " B is not a power of two");
+    if (cfg.ways > 256)
+        fatal("cache '", cfg.name, "' has ", cfg.ways,
+              " ways; 8-bit LRU ranks allow at most 256");
+    _lineShift = log2Exact(cfg.lineBytes);
+    _setsPow2 = isPow2(_sets);
+    _setShift = _setsPow2 ? log2Exact(_sets) : 0;
+    _blockWords = (std::uint64_t{cfg.ways} * 5 + kBlockAlign - 1) /
+                  kBlockAlign * kBlockAlign / sizeof(std::uint32_t);
+    const std::uint64_t bytes = _sets * _blockWords * sizeof(std::uint32_t);
+    _blocks.reset(static_cast<std::uint32_t *>(
+        std::aligned_alloc(kBlockAlign, bytes)));
+    if (!_blocks)
+        fatal("cache '", cfg.name, "': cannot allocate ", bytes,
+              " B of tags");
+    std::memset(_blocks.get(), 0, bytes);
 }
 
-std::uint32_t
-Cache::findWay(std::uint64_t set, std::uint64_t tag) const
+Cache::Slot
+Cache::slotOf(Addr addr) const
 {
-    const std::uint64_t *tags = &_tags[set * _cfg.ways];
-    std::uint32_t w = 0;
-    while (w < _cfg.ways && tags[w] != tag)
-        ++w;
-    return w;
+    const Addr line = addr >> _lineShift;
+    std::uint64_t set;
+    std::uint64_t tag;
+    if (_setsPow2) {
+        set = line & (_sets - 1);
+        tag = line >> _setShift;
+    } else {
+        tag = line / _sets;
+        set = line - tag * _sets;
+    }
+    if (tag >= 0xFFFFFFFFu)
+        fatal("cache '", _cfg.name, "': address 0x", std::hex, addr,
+              std::dec, " is beyond its 32-bit tag range");
+    return Slot{set, static_cast<std::uint32_t>(tag + 1)};
 }
 
 CacheAccessResult
 Cache::access(Addr addr)
 {
     ++_accesses;
-    ++_clock;
-    const Addr line = addr / _cfg.lineBytes;
-    const std::uint64_t set = setIndex(line);
-    const std::uint64_t tag = tagOf(line);
-    const std::uint32_t w = findWay(set, tag);
-    if (w < _cfg.ways) {
-        if (_cfg.policy == ReplacementPolicy::Lru)
-            _stamps[set * _cfg.ways + w] = _clock;
-        return CacheAccessResult{true, false, 0};
-    }
-    ++_misses;
-    return allocate(set, tag);
-}
-
-bool
-Cache::probe(Addr addr) const
-{
-    const Addr line = addr / _cfg.lineBytes;
-    return findWay(setIndex(line), tagOf(line)) < _cfg.ways;
+    return lookup(addr, true);
 }
 
 CacheAccessResult
 Cache::fill(Addr addr)
 {
-    ++_clock;
-    const Addr line = addr / _cfg.lineBytes;
-    const std::uint64_t set = setIndex(line);
-    const std::uint64_t tag = tagOf(line);
-    if (findWay(set, tag) < _cfg.ways)
-        return CacheAccessResult{true, false, 0};
-    return allocate(set, tag);
+    return lookup(addr, false);
 }
 
 CacheAccessResult
-Cache::allocate(std::uint64_t set, std::uint64_t tag)
+Cache::lookup(Addr addr, bool counted)
 {
-    const std::size_t base = set * _cfg.ways;
-    const std::size_t way = base + victimWay(base);
-    CacheAccessResult res;
-    if (_tags[way] != kInvalid) {
-        res.evictedValid = true;
-        res.evictedAddr = (_tags[way] * _sets + set) * _cfg.lineBytes;
+    const std::uint32_t ways = _cfg.ways;
+    const Slot slot = slotOf(addr);
+    std::uint32_t *tags = tagsOf(slot.set);
+    std::uint8_t *ranks = reinterpret_cast<std::uint8_t *>(tags + ways);
+    // One scan finds the line or, failing that, the first empty way.
+    std::uint32_t empty = ways;
+    for (std::uint32_t w = 0; w < ways; ++w) {
+        if (tags[w] == slot.tag) {
+            if (counted && _cfg.policy == ReplacementPolicy::Lru)
+                touch(ranks, ways, w, ranks[w]);
+            return CacheAccessResult{true, false, 0};
+        }
+        if (tags[w] == 0 && empty == ways)
+            empty = w;
     }
-    _tags[way] = tag;
-    _stamps[way] = _clock;
+    if (counted)
+        ++_misses;
+
+    CacheAccessResult res;
+    std::uint32_t victim = empty;
+    if (victim == ways) {
+        // Full set. Ranks are a permutation of 0..ways-1, and rank
+        // ways-1 is the least recently used (LRU) or first inserted
+        // (FIFO) way.
+        if (_cfg.policy == ReplacementPolicy::Random) {
+            victim = static_cast<std::uint32_t>(_rng.nextBelow(ways));
+        } else {
+            victim = 0;
+            while (ranks[victim] != ways - 1)
+                ++victim;
+        }
+        res.evictedValid = true;
+        res.evictedAddr = ((std::uint64_t{tags[victim]} - 1) * _sets +
+                           slot.set)
+                          << _lineShift;
+    }
+    touch(ranks, ways, victim, victim == empty ? ways : ranks[victim]);
+    tags[victim] = slot.tag;
     return res;
 }
 
-std::size_t
-Cache::victimWay(std::size_t base)
+bool
+Cache::probe(Addr addr) const
 {
-    // Prefer an empty way.
-    const std::uint64_t *tags = &_tags[base];
+    const Slot slot = slotOf(addr);
+    const std::uint32_t *tags = tagsOf(slot.set);
     for (std::uint32_t w = 0; w < _cfg.ways; ++w)
-        if (tags[w] == kInvalid)
-            return w;
-
-    if (_cfg.policy == ReplacementPolicy::Random)
-        return static_cast<std::size_t>(_rng.nextBelow(_cfg.ways));
-    // LRU and FIFO: the lowest stamp, the first way on ties.
-    const std::uint64_t *stamps = &_stamps[base];
-    std::size_t victim = 0;
-    for (std::uint32_t w = 1; w < _cfg.ways; ++w)
-        if (stamps[w] < stamps[victim])
-            victim = w;
-    return victim;
+        if (tags[w] == slot.tag)
+            return true;
+    return false;
 }
 
 void
 Cache::flush()
 {
-    std::fill(_tags.begin(), _tags.end(), kInvalid);
+    for (std::uint64_t set = 0; set < _sets; ++set)
+        std::memset(tagsOf(set), 0, _cfg.ways * sizeof(std::uint32_t));
 }
 
 void

@@ -6,14 +6,21 @@
  * statistics for Fig 6) and as the latency source for the CPU-side
  * timing models. Tag-only: data contents live in the functional DLRM
  * model, the cache tracks presence.
+ *
+ * Storage is one 64 B-aligned block per set: u32 tag[ways], then
+ * u8 rank[ways], padded to a 64 B multiple (5 B/way; an 8-way set is
+ * one host line, a 20-way set two). A stored tag is line / sets + 1,
+ * so 0 marks an empty way and a zeroed block is an empty set. A rank
+ * is the way's age among the valid ways of its set, 0 the newest.
  */
 
 #ifndef CENTAUR_CACHE_CACHE_HH
 #define CENTAUR_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -56,6 +63,10 @@ struct CacheAccessResult
 
 /**
  * One level of tag-only set-associative cache.
+ *
+ * Lines must be a power of two bytes. A line's tag (line / sets) must
+ * fit below 2^32 - 1; an access beyond that range is fatal (16 TiB on
+ * a 64-set, 64 B-line cache).
  */
 class Cache
 {
@@ -99,28 +110,41 @@ class Cache
     }
 
   private:
-    /** Tag of an empty way; no line address maps to it. */
-    static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
+    /** Set of a line and its stored tag (line / sets + 1). */
+    struct Slot
+    {
+        std::uint64_t set;
+        std::uint32_t tag;
+    };
 
-    std::uint64_t setIndex(Addr line) const { return line % _sets; }
-    std::uint64_t tagOf(Addr line) const { return line / _sets; }
+    struct FreeBlocks
+    {
+        void operator()(std::uint32_t *p) const { std::free(p); }
+    };
 
-    /** Way of @p set holding @p tag, or _cfg.ways when absent. */
-    std::uint32_t findWay(std::uint64_t set, std::uint64_t tag) const;
+    Slot slotOf(Addr addr) const;
 
-    /** Install @p tag in @p set, displacing the victim way. */
-    CacheAccessResult allocate(std::uint64_t set, std::uint64_t tag);
+    /** Block of @p set; its ranks follow the tags. */
+    std::uint32_t *
+    tagsOf(std::uint64_t set) const
+    {
+        return _blocks.get() + set * _blockWords;
+    }
 
-    std::size_t victimWay(std::size_t base);
+    /**
+     * access() when @p counted, else fill(), which neither counts nor
+     * refreshes an LRU hit.
+     */
+    CacheAccessResult lookup(Addr addr, bool counted);
 
     CacheConfig _cfg;
     std::uint64_t _sets;
     Tick _hitLatency;
-    // Split arrays, _sets x _cfg.ways row-major each: a hit scans the
-    // tags only (8 B/way) and touches one stamp afterwards.
-    std::vector<std::uint64_t> _tags;   //!< kInvalid = empty way
-    std::vector<std::uint64_t> _stamps; //!< LRU: last use; FIFO: insert
-    std::uint64_t _clock = 0;
+    unsigned _lineShift = 0;
+    bool _setsPow2 = false;
+    unsigned _setShift = 0;        //!< log2(_sets) when _setsPow2
+    std::uint64_t _blockWords = 0; //!< u32 words per set, 64 B multiple
+    std::unique_ptr<std::uint32_t[], FreeBlocks> _blocks;
     Rng _rng{0xC0FFEE};
 
     std::uint64_t _accesses = 0;

@@ -195,6 +195,34 @@ TEST(CacheDeath, RejectsOneByteSingleSetGeometry)
                  "more than one byte per set");
 }
 
+TEST(CacheDeath, RejectsNonPowerOfTwoLineSize)
+{
+    EXPECT_DEATH(Cache(CacheConfig{"bad", 48 * 2 * 4, 2, 48, 1.0,
+                                   ReplacementPolicy::Lru}),
+                 "not a power of two");
+}
+
+TEST(CacheDeath, RejectsMoreWaysThanRanksCanOrder)
+{
+    EXPECT_DEATH(Cache(CacheConfig{"bad", 257 * 64, 257, 64, 1.0,
+                                   ReplacementPolicy::Lru}),
+                 "at most 256");
+}
+
+TEST(CacheDeath, RejectsAddressBeyondTagRange)
+{
+    // 4 sets of 64 B lines: the largest tag is 2^32 - 2, so the first
+    // line out of range is (2^32 - 1) * 4.
+    const Addr first_out = (Addr{0xFFFFFFFF} * 4) * 64;
+    Cache c(smallCache());
+    EXPECT_FALSE(c.access(first_out - 1).hit);
+    EXPECT_TRUE(c.probe(first_out - 64));
+    EXPECT_DEATH(c.access(first_out), "'test': address 0xffffffff00 "
+                                      "is beyond its 32-bit tag range");
+    EXPECT_DEATH(c.fill(first_out + 64 * 3), "32-bit tag range");
+    EXPECT_DEATH(c.probe(~Addr{0}), "32-bit tag range");
+}
+
 // ---------------------------------------------------------------
 // Property sweep: random access streams across geometries must keep
 // accesses == hits + misses and respect capacity bounds.
@@ -410,6 +438,56 @@ TEST_P(CacheOracleTest, LockstepWithOriginalModel)
     EXPECT_GT(cache.hits(), 0U);
 }
 
+// Lines whose tags sit in the top 2^16 of the 32-bit range (the
+// largest legal tag, 2^32 - 2, included), hot sets as above: exercises
+// the tag + 1 encoding and evictedAddr reconstruction at the limit.
+TEST_P(CacheOracleTest, LockstepNearTagLimit)
+{
+    CacheConfig cfg = std::get<0>(GetParam());
+    cfg.policy = std::get<1>(GetParam());
+    Cache cache(cfg);
+    OracleCache oracle(cfg);
+    const std::uint64_t sets = cfg.sets();
+    const std::uint64_t top_tag = 0xFFFFFFFEu;
+    const std::uint64_t hot_sets = std::min<std::uint64_t>(sets, 61);
+    Rng rng(77);
+    for (int step = 0; step < 100000; ++step) {
+        const Addr line =
+            rng.nextBelow(4) != 0
+                ? rng.nextBelow(hot_sets) +
+                      sets * (top_tag - rng.nextBelow(2 * cfg.ways))
+                : rng.nextBelow(sets) +
+                      sets * (top_tag - rng.nextBelow(1 << 16));
+        const Addr addr = line * cfg.lineBytes +
+                          rng.nextBelow(cfg.lineBytes);
+        const std::uint64_t op = rng.nextBelow(10000);
+        CacheAccessResult got;
+        CacheAccessResult want;
+        if (op < 7000) {
+            got = cache.access(addr);
+            want = oracle.access(addr);
+        } else if (op < 8500) {
+            got = cache.fill(addr);
+            want = oracle.fill(addr);
+        } else if (op < 9998) {
+            ASSERT_EQ(cache.probe(addr), oracle.probe(addr))
+                << "step " << step;
+            continue;
+        } else {
+            cache.flush();
+            oracle.flush();
+            continue;
+        }
+        ASSERT_EQ(got.hit, want.hit) << "step " << step;
+        ASSERT_EQ(got.evictedValid, want.evictedValid) << "step " << step;
+        ASSERT_EQ(got.evictedAddr, want.evictedAddr) << "step " << step;
+        ASSERT_EQ(cache.accesses(), oracle.accesses()) << "step " << step;
+        ASSERT_EQ(cache.misses(), oracle.misses()) << "step " << step;
+    }
+    EXPECT_GT(cache.misses(), 0U);
+    EXPECT_GT(cache.hits(), 0U);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheOracleTest,
     ::testing::Combine(
@@ -420,6 +498,17 @@ INSTANTIATE_TEST_SUITE_P(
                         ReplacementPolicy::Lru},
             CacheConfig{"llc", 35 * kMiB, 20, 64, 18.0,
                         ReplacementPolicy::Lru}),
+        ::testing::Values(ReplacementPolicy::Lru,
+                          ReplacementPolicy::Fifo,
+                          ReplacementPolicy::Random)),
+    oracleCaseName);
+
+// The Broadwell L2: 8 ways fill exactly one 64 B block per set.
+INSTANTIATE_TEST_SUITE_P(
+    BroadwellL2, CacheOracleTest,
+    ::testing::Combine(
+        ::testing::Values(CacheConfig{"l2bdw", 256 * kKiB, 8, 64, 5.0,
+                                      ReplacementPolicy::Lru}),
         ::testing::Values(ReplacementPolicy::Lru,
                           ReplacementPolicy::Fifo,
                           ReplacementPolicy::Random)),
