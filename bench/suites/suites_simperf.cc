@@ -2,7 +2,7 @@
  * @file
  * Simulator-performance suite: how fast the simulator itself runs.
  * Every other suite measures the modeled system; this one measures
- * the model. Five canonical cells (contended serving, fast-path
+ * the model. Five canonical cells (contended serving, uncontended
  * serving, an 8-node cluster, a cache-tier run and a control-plane
  * run) each time their engine end to end (requests_per_sec,
  * sim_wall_us) and then replay the engines' event pattern through
@@ -222,14 +222,14 @@ suiteSimPerf(SuiteContext &ctx)
     };
 
     // The five canonical cells. serving_contended and cluster_8node
-    // carry the CI speedup floors; serving_fast_path runs the
-    // closed-form loop (core/server.cc) so its requests_per_sec
-    // shows the engine-level win; cache and ctrl pin the remaining
-    // event-path engines.
+    // carry the CI speedup floors; serving_uncontended runs the node
+    // scheduler with no fabric and no control policy, so its
+    // requests_per_sec is the plain round's rate; cache and ctrl pin
+    // the cache tier and the adaptive batcher.
     std::vector<Cell> cells;
     cells.push_back({"serving_contended", "cpu+gpu", "uniform",
                      false, true, 4, 4, false, 3.0});
-    cells.push_back({"serving_fast_path", "cpu", "uniform",
+    cells.push_back({"serving_uncontended", "cpu", "uniform",
                      false, false, 4, 4, false, 0.0});
     cells.push_back({"cluster_8node",
                      "cluster:8x(cpu)/shard:range:2/net:1.5:2:25",
@@ -345,8 +345,8 @@ suiteSimPerf(SuiteContext &ctx)
 
     ctx.notef("\ntakeaway: the arena kernel retires the per-event "
               "heap allocation the legacy std::function storage\n"
-              "paid on every schedule; the serving fast path skips "
-              "the queue entirely when nothing contends.\n");
+              "paid on every schedule; every serving cell runs its "
+              "rounds on that kernel.\n");
 
     Json data = Json::object();
     data["records"] = records;

@@ -1,22 +1,25 @@
 /**
  * @file
- * Cluster serving engine: the ServingEngine admission/dispatch loop
- * generalized to N nodes on one shared EventQueue, plus sharded
+ * Cluster serving engine: N nodes of the shared node scheduler
+ * (core/node_scheduler.hh) on one sharded event queue, plus sharded
  * remote embedding gather over the modeled network.
  *
- * The engine pre-generates arrivals and payloads exactly like
- * ServingEngine (same RNG streams, request-id order) and routes
- * every request to a node up front (cluster/router.hh). Each node
- * then runs the exact per-node greedy scheduling rounds of the
- * single-node engine - earliest-free worker, coalescing window,
+ * The run draws the same request stream as ServingEngine (same RNG
+ * streams, request-id order) and routes every request to a node up
+ * front (cluster/router.hh). Each node then runs the scheduler's
+ * greedy rounds - earliest-free worker, coalescing window,
  * drop/timeout shedding - as events on the shared queue, so
- * cross-node interleaving is deterministic. A dispatched batch whose
- * rows live on other nodes issues one one-sided read per owner node
- * (fan-out); the dense stage then waits for the *slowest* read
- * (straggler), extending that dispatch's service time. With one node
- * and a null network no request is remote and no charge is made:
- * the run is tick-identical to ServingEngine (asserted in
- * tests/cluster/test_cluster_identity.cc).
+ * cross-node interleaving is deterministic. What the cluster adds:
+ * a dispatched batch whose rows live on other nodes issues one
+ * one-sided read per owner node (fan-out), and the dense stage
+ * waits for the *slowest* read (straggler), extending that
+ * dispatch's service time; an idle node re-fires at its next
+ * arrival's tick so NIC grants are requested in global time order;
+ * hedged clones run on the next active node; and the autoscaler
+ * drains whole nodes, handing their unadmitted requests to the
+ * survivors. With one node and a null network no request is remote
+ * and no charge is made: the run is tick-identical to ServingEngine
+ * (asserted in tests/cluster/test_cluster_identity.cc).
  */
 
 #ifndef CENTAUR_CLUSTER_ENGINE_HH

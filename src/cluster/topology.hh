@@ -3,14 +3,15 @@
  * ClusterTopology: N serving nodes, each owning its own Fabric and
  * worker fleet, bound to one shard map and one modeled network.
  *
- * This is the cluster-scale mirror of the single-node fleet that
- * runServingSim builds: every node gets the same fleet shape
- * (ServingConfig::workers homogeneous workers of the cluster spec's
- * node spec, or one worker per workerSpecs entry) built through
- * SystemBuilder on the node's private Fabric when contention is on.
- * The shard map partitions the model's embedding rows across the
- * nodes and the network prices every remote gather; both are owned
- * here so engine, router and tests see one consistent cluster.
+ * Every node is built the way runServingSim builds its one fleet:
+ * makeWorkers gives it the same fleet shape (ServingConfig::workers
+ * homogeneous workers of the cluster spec's node spec, or one worker
+ * per workerSpecs entry) on the node's private Fabric when
+ * contention is on, and the cluster engine hands each node's workers
+ * and fabric to one node scheduler (core/node_scheduler.hh). The
+ * shard map partitions the model's embedding rows across the nodes
+ * and the network prices every remote gather; both are owned here
+ * so engine, router and tests see one consistent cluster.
  */
 
 #ifndef CENTAUR_CLUSTER_TOPOLOGY_HH

@@ -12,6 +12,14 @@
  * reports the end-to-end (queue + service) latency distribution,
  * throughput, per-worker utilization and energy - the quantities an
  * operator actually provisions against.
+ *
+ * ServingEngine is one node of the shared scheduler
+ * (core/node_scheduler.hh) that the cluster engine also drives; what
+ * it adds is the single-node control plane: a hedged clone races on
+ * another worker of the same node, and the autoscaler drains or
+ * re-adds individual workers. A one-worker engine with
+ * maxCoalescedBatch = 1 is the plain single-queue, single-server
+ * model.
  */
 
 #ifndef CENTAUR_CORE_SERVER_HH
@@ -114,15 +122,6 @@ struct ServingConfig
      * keeps the open-loop engine tick-identical.
      */
     CtrlConfig ctrl;
-
-    /**
-     * Pin the event-driven reference path even when the closed-form
-     * fast path applies (no fabric, no ctrl policy armed). The two
-     * paths are asserted tick-identical on every registered spec
-     * (tests/core/test_server.cc); this knob exists so those tests
-     * and A/B measurements can drive the event path explicitly.
-     */
-    bool forceEventQueue = false;
 };
 
 /** Per-worker serving results. */
@@ -304,77 +303,6 @@ struct Scenario; // core/scenario.hh
  */
 ServingStats runServingSim(const Scenario &sc,
                            const ServingConfig &base = ServingConfig{});
-
-// ---------------------------------------------------------------------
-// Legacy single-queue, single-server wrapper.
-// ---------------------------------------------------------------------
-
-/** Serving-loop parameters (legacy single-worker surface). */
-struct ServerConfig
-{
-    /** Mean request arrival rate (Poisson), requests per second. */
-    double arrivalRatePerSec = 2000.0;
-    /** Samples (users/items to score) per request. */
-    std::uint32_t batchPerRequest = 8;
-    /** Requests to simulate. */
-    std::uint32_t requests = 200;
-    /** Workload RNG seed. */
-    std::uint64_t seed = 1;
-    /** Index popularity distribution. */
-    IndexDistribution dist = IndexDistribution::Uniform;
-};
-
-/** Aggregate serving results (legacy single-worker surface). */
-struct ServerStats
-{
-    std::uint64_t served = 0;
-    double meanServiceUs = 0.0;
-    double meanQueueUs = 0.0;
-    double meanLatencyUs = 0.0; //!< queue + service
-    double p50Us = 0.0;
-    double p95Us = 0.0;
-    double p99Us = 0.0;
-    double maxLatencyUs = 0.0;
-    /** Latency samples beyond the histogram cap (overloaded tail). */
-    std::uint64_t latencyOverflow = 0;
-    double throughputRps = 0.0;
-    double offeredRps = 0.0;
-    double utilization = 0.0; //!< busy time / wall time
-    double energyJoules = 0.0;
-
-    /** SLA budget the hit rate was measured against (us). */
-    double slaTargetUs = 0.0;
-    /** Fraction of requests within the SLA budget. */
-    double slaHitRate = 0.0;
-};
-
-/**
- * A single-queue, single-server inference service wrapped around a
- * design point. Thin shim over ServingEngine with one worker and no
- * coalescing, kept for the simple "one design point, one queue"
- * studies.
- */
-class InferenceServer
-{
-  public:
-    /**
-     * @param sys design point to serve on (state advances)
-     * @param cfg serving-loop parameters
-     * @param sla_target_us optional SLA budget for hit-rate stats
-     */
-    InferenceServer(System &sys, const ServerConfig &cfg,
-                    double sla_target_us = 0.0);
-
-    /** Simulate the configured number of requests. */
-    ServerStats run();
-
-    const ServerConfig &config() const { return _cfg; }
-
-  private:
-    System &_sys;
-    ServerConfig _cfg;
-    double _slaTargetUs;
-};
 
 } // namespace centaur
 

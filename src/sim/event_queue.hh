@@ -355,11 +355,10 @@ class ShardedEventQueue
 std::uint64_t globalSimEvents();
 
 /**
- * Credit @p n simulated events to the process-wide counter. The
- * serving engine's closed-form fast path (core/server.cc) executes
- * its scheduling rounds as a plain loop instead of queue events; it
- * books one simulated event per round here so sim_events stays a
- * pure function of the simulated work, identical to the event path.
+ * Credit @p n simulated events to the process-wide counter, for code
+ * that executes events outside an EventQueue. Its one caller is the
+ * legacy-kernel replay in the sim_perf suite, which charges each
+ * event it runs exactly as the pre-arena kernel did.
  */
 void addGlobalSimEvents(std::uint64_t n);
 

@@ -107,6 +107,18 @@ TEST(CacheSpecGrammar, RejectsBadTokensByName)
 
     EXPECT_FALSE(tryParseCachePart("cache:64:lru:gst", &cfg, &err));
     EXPECT_NE(err.find("gst"), std::string::npos) << err;
+
+    // Non-finite numbers are not numbers in any grammar.
+    for (const char *bad : {"nan", "inf", "-inf", "1e999"}) {
+        EXPECT_FALSE(tryParseCachePart(std::string("cache:") + bad, &cfg,
+                                       &err))
+            << bad;
+        EXPECT_NE(err.find(bad), std::string::npos) << err;
+        EXPECT_NE(err.find("grammar"), std::string::npos) << err;
+    }
+    SystemSpec spec;
+    EXPECT_FALSE(tryParseSpec("cpu/cache:nan", &spec, &err));
+    EXPECT_NE(err.find("nan"), std::string::npos) << err;
 }
 
 TEST(CacheSpecGrammar, BackendSpecCarriesTheSuffix)

@@ -112,6 +112,15 @@ TEST(ClusterSpecParse, RejectionNamesTheBadToken)
         {"cluster:2x(cpu)/speed:fast", "'speed:fast'"},
         {"cluster:2x(cpu)/shard:hash/shard:range", "duplicate"},
         {"cluster:2x(cpu)/shard:hash:4", "exceed"},
+        // Non-finite numbers are not numbers in any grammar.
+        {"cluster:2x(cpu)/net:nan", "'nan'"},
+        {"cluster:2x(cpu)/net:inf", "'inf'"},
+        {"cluster:2x(cpu)/net:-inf", "'-inf'"},
+        {"cluster:2x(cpu)/net:nan:2:25", "'nan'"},
+        {"cluster:2x(cpu)/net:1.5:inf", "'inf'"},
+        {"cluster:2x(cpu)/net:1.5:2:nan", "'nan'"},
+        {"cluster:2x(cpu)/cache:nan", "'nan'"},
+        {"cluster:2x(cpu)/ctrl:fixed:hedge:nan", "'nan'"},
     };
     for (const auto &c : cases) {
         ClusterSpec out;

@@ -79,7 +79,12 @@ TEST(CtrlSpec, MalformedPartsAreRejectedWithTheGrammar)
           "ctrl:fixed:hedge:1", "ctrl:fixed:hedge:1.5",
           "ctrl:adaptive:hedge:0.9:hedge",
           "ctrl:adaptive:scale:0.8-0.3", "ctrl:adaptive:scale:0.3-1.5",
-          "ctrl:adaptive:scale:0.3-0.8:scale"}) {
+          "ctrl:adaptive:scale:0.3-0.8:scale",
+          // Non-finite numbers are not numbers in any grammar.
+          "ctrl:fixed:hedge:nan", "ctrl:fixed:hedge:inf",
+          "ctrl:fixed:hedge:-inf", "ctrl:adaptive:scale:nan-0.8",
+          "ctrl:adaptive:scale:0.3-inf",
+          "ctrl:adaptive:scale:-inf-0.8"}) {
         CtrlConfig cfg;
         std::string error;
         EXPECT_FALSE(tryParseCtrlPart(bad, &cfg, &error)) << bad;

@@ -116,7 +116,14 @@ TEST(WorkloadSpec, MalformedSpecsAreRejectedWithAClearError)
           "uniform@", "uniform@poisson:", "uniform@poisson:0",
           "uniform@poisson:-5", "uniform@burst:8000",
           "uniform@burst:8000:0.5", "uniform@burst::2",
-          "uniform@cron:5", "Uniform", "zipf:0.9@"}) {
+          "uniform@cron:5", "Uniform", "zipf:0.9@",
+          // Non-finite numbers are not numbers in any grammar.
+          "zipf:nan", "zipf:inf", "zipf:-inf", "zipf:1e999",
+          "uniform@poisson:nan", "uniform@poisson:inf",
+          "uniform@burst:8000:nan", "uniform@burst:inf:2",
+          "uniform@diurnal:8000:nan", "uniform@diurnal:8000:0.5:inf",
+          "uniform/slo:rt:nan", "uniform/slo:rt:inf",
+          "uniform/slo:rt:-inf"}) {
         WorkloadConfig cfg;
         std::string error;
         EXPECT_FALSE(tryParseWorkloadSpec(bad, &cfg, &error)) << bad;
