@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * event queue scheduling, cache tag lookups and the all-level miss
  * path, DRAM bank timing, the Zipf sampler, the EB-Streamer gather
- * loop and the functional DLRM pass. These bound the wall-clock cost
+ * loop, the functional DLRM pass and the hot-row cache tier. These bound the wall-clock cost
  * of the paper-reproduction sweeps.
  */
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "cachetier/cache_tier.hh"
 #include "dlrm/reference_model.hh"
 #include "fpga/mlp_unit.hh"
 #include "mem/dram.hh"
@@ -231,6 +232,40 @@ BM_EmbeddingAccumulateRow(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * table.dim());
 }
 BENCHMARK(BM_EmbeddingAccumulateRow);
+
+// The hot-row tier's per-lookup bookkeeping on dlrm1 traffic.
+// Arg 0: LRU cache:16 on zipf:1.1, hit-heavy (the cluster_zipf tier).
+// Arg 1: slru+ghost cache:1 on zipf:0.6, eviction-heavy.
+void
+BM_CacheTierAnnotate(benchmark::State &state)
+{
+    const bool evicting = state.range(0) == 1;
+    const DlrmConfig cfg = dlrmPreset(1);
+    WorkloadConfig wl;
+    wl.batch = 16;
+    wl.dist = IndexDistribution::Zipf;
+    wl.zipfSkew = evicting ? 0.6 : 1.1;
+    WorkloadGenerator gen(cfg, wl);
+    std::vector<InferenceBatch> batches;
+    for (int i = 0; i < 64; ++i)
+        batches.push_back(gen.next());
+
+    CacheTierConfig tier_cfg;
+    tier_cfg.capacityMB = evicting ? 1.0 : 16.0;
+    tier_cfg.policy = evicting ? CachePolicy::Slru : CachePolicy::Lru;
+    tier_cfg.ghost = evicting;
+    CacheTier tier(tier_cfg,
+                   static_cast<std::uint32_t>(cfg.vectorBytes()));
+    for (const InferenceBatch &b : batches) // warm the tier
+        tier.annotate(b);
+    for (auto _ : state)
+        for (const InferenceBatch &b : batches)
+            benchmark::DoNotOptimize(tier.annotate(b));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(batches.size()) *
+                            cfg.totalLookups(wl.batch));
+}
+BENCHMARK(BM_CacheTierAnnotate)->Arg(0)->Arg(1);
 
 } // namespace
 

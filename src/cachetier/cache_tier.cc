@@ -28,107 +28,85 @@ failWith(std::string *error, const std::string &part,
 // Eviction policies.
 // ------------------------------------------------------------------
 
-/** Plain LRU: recency list (front = MRU) + key -> node map. */
+constexpr std::uint32_t kNoNode = RowIndex::kNoNode;
+
+/** Plain LRU: one recency list (front = MRU) over the key index. */
 class LruPolicy final : public RowCachePolicy
 {
   public:
     bool
-    contains(std::uint64_t key) const override
+    touchIfResident(std::uint64_t key) override
     {
-        return _map.find(key) != _map.end();
-    }
-
-    void
-    touch(std::uint64_t key) override
-    {
-        auto it = _map.find(key);
-        _list.splice(_list.begin(), _list, it->second);
+        const std::uint32_t n = _index.find(key);
+        if (n == kNoNode)
+            return false;
+        _list.moveToFront(n);
+        return true;
     }
 
     void
     insert(std::uint64_t key) override
     {
-        _list.push_front(key);
-        _map.emplace(key, _list.begin());
+        _index.insert(key, _list.pushFront(key));
     }
 
     std::uint64_t
     evict() override
     {
-        const std::uint64_t victim = _list.back();
-        _map.erase(victim);
-        _list.pop_back();
+        const std::uint64_t victim = _list.release(_list.back());
+        _index.erase(victim);
         return victim;
     }
 
-    std::size_t size() const override { return _map.size(); }
-
-    std::vector<std::uint64_t>
-    keys() const override
-    {
-        std::vector<std::uint64_t> out;
-        out.reserve(_map.size());
-        for (const auto &kv : _map)
-            out.push_back(kv.first);
-        return out;
-    }
-
   private:
-    std::list<std::uint64_t> _list;
-    std::map<std::uint64_t, std::list<std::uint64_t>::iterator> _map;
+    RowList _list;
 };
 
 /**
  * LFU with FIFO tie-break: victims are the lowest-frequency keys,
  * oldest insertion first. The eviction order lives in an ordered
  * set of (freq, seq, key) tuples, so every choice is total-ordered
- * and deterministic.
+ * and deterministic; the index maps a key to its (freq, seq) node.
  */
 class LfuPolicy final : public RowCachePolicy
 {
   public:
     bool
-    contains(std::uint64_t key) const override
+    touchIfResident(std::uint64_t key) override
     {
-        return _map.find(key) != _map.end();
-    }
-
-    void
-    touch(std::uint64_t key) override
-    {
-        auto it = _map.find(key);
-        _order.erase({it->second.freq, it->second.seq, key});
-        ++it->second.freq;
-        _order.insert({it->second.freq, it->second.seq, key});
+        const std::uint32_t n = _index.find(key);
+        if (n == kNoNode)
+            return false;
+        Node &node = _nodes[n];
+        auto entry = _order.extract({node.freq, node.seq, key});
+        entry.value() = {++node.freq, node.seq, key};
+        _order.insert(std::move(entry));
+        return true;
     }
 
     void
     insert(std::uint64_t key) override
     {
-        const Node node{1, ++_seq};
-        _map.emplace(key, node);
-        _order.insert({node.freq, node.seq, key});
+        std::uint32_t n;
+        if (_free.empty()) {
+            n = static_cast<std::uint32_t>(_nodes.size());
+            _nodes.emplace_back();
+        } else {
+            n = _free.back();
+            _free.pop_back();
+        }
+        _nodes[n] = Node{1, ++_seq};
+        _index.insert(key, n);
+        _order.insert({1, _seq, key});
     }
 
     std::uint64_t
     evict() override
     {
-        const auto victim = *_order.begin();
+        const std::uint64_t victim = std::get<2>(*_order.begin());
         _order.erase(_order.begin());
-        _map.erase(std::get<2>(victim));
-        return std::get<2>(victim);
-    }
-
-    std::size_t size() const override { return _map.size(); }
-
-    std::vector<std::uint64_t>
-    keys() const override
-    {
-        std::vector<std::uint64_t> out;
-        out.reserve(_map.size());
-        for (const auto &kv : _map)
-            out.push_back(kv.first);
-        return out;
+        _free.push_back(_index.erase(victim));
+        return victim;
     }
 
   private:
@@ -138,7 +116,8 @@ class LfuPolicy final : public RowCachePolicy
         std::uint64_t seq;
     };
 
-    std::map<std::uint64_t, Node> _map;
+    std::vector<Node> _nodes;
+    std::vector<std::uint32_t> _free;
     std::set<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>>
         _order;
     std::uint64_t _seq = 0;
@@ -150,80 +129,53 @@ class LfuPolicy final : public RowCachePolicy
  * demoting the protected LRU back to probation MRU when full.
  * Victims come from the probation tail (protected tail only when
  * probation is empty), so scan traffic cannot flush proven-hot rows.
+ * Both segments are lists over one node pool.
  */
 class SlruPolicy final : public RowCachePolicy
 {
   public:
     bool
-    contains(std::uint64_t key) const override
+    touchIfResident(std::uint64_t key) override
     {
-        return _map.find(key) != _map.end();
-    }
-
-    void
-    touch(std::uint64_t key) override
-    {
-        auto it = _map.find(key);
-        if (it->second.protectedSeg) {
-            _protected.splice(_protected.begin(), _protected,
-                              it->second.node);
-            return;
+        const std::uint32_t n = _index.find(key);
+        if (n == kNoNode)
+            return false;
+        if (_list.segment(n) == kProtected) {
+            _list.moveToFront(n, kProtected);
+            return true;
         }
         // Promote probation -> protected.
-        _protected.splice(_protected.begin(), _probation,
-                          it->second.node);
-        it->second.protectedSeg = true;
+        _list.moveToFront(n, kProtected);
         const std::size_t cap =
             std::max<std::size_t>(1, size() * 4 / 5);
-        if (_protected.size() > cap) {
+        if (_list.size(kProtected) > cap) {
             // Demote the protected LRU back to probation MRU.
-            auto demoted = std::prev(_protected.end());
-            _probation.splice(_probation.begin(), _protected,
-                              demoted);
-            _map.find(*demoted)->second.protectedSeg = false;
+            _list.moveToFront(_list.back(kProtected), kProbation);
         }
+        return true;
     }
 
     void
     insert(std::uint64_t key) override
     {
-        _probation.push_front(key);
-        _map.emplace(key, Node{_probation.begin(), false});
+        _index.insert(key, _list.pushFront(key, kProbation));
     }
 
     std::uint64_t
     evict() override
     {
-        std::list<std::uint64_t> &seg =
-            _probation.empty() ? _protected : _probation;
-        const std::uint64_t victim = seg.back();
-        _map.erase(victim);
-        seg.pop_back();
+        const unsigned seg =
+            _list.size(kProbation) ? kProbation : kProtected;
+        const std::uint64_t victim = _list.release(_list.back(seg));
+        _index.erase(victim);
         return victim;
     }
 
-    std::size_t size() const override { return _map.size(); }
-
-    std::vector<std::uint64_t>
-    keys() const override
-    {
-        std::vector<std::uint64_t> out;
-        out.reserve(_map.size());
-        for (const auto &kv : _map)
-            out.push_back(kv.first);
-        return out;
-    }
-
   private:
-    struct Node
-    {
-        std::list<std::uint64_t>::iterator node;
-        bool protectedSeg;
-    };
+    static constexpr unsigned kProbation = 0;
+    static constexpr unsigned kProtected = 1;
 
-    std::list<std::uint64_t> _probation;
-    std::list<std::uint64_t> _protected;
-    std::map<std::uint64_t, Node> _map;
+    RowList _list;
 };
 
 std::unique_ptr<RowCachePolicy>
@@ -382,13 +334,9 @@ CacheTier::admit(std::uint64_t key)
 {
     if (!_cfg.ghost)
         return true;
-    auto it = _ghostMap.find(key);
-    if (it != _ghostMap.end()) {
-        // Second touch inside the ghost window: admit for real.
-        _ghostList.erase(it->second);
-        _ghostMap.erase(it);
+    // Second touch inside the ghost window: admit for real.
+    if (_ghost.erase(key))
         return true;
-    }
     ghostInsert(key);
     ++_rejectedFills;
     return false;
@@ -397,20 +345,11 @@ CacheTier::admit(std::uint64_t key)
 void
 CacheTier::ghostInsert(std::uint64_t key)
 {
-    if (_ghostCap == 0)
+    if (_ghostCap == 0 || _ghost.touchIfResident(key))
         return;
-    auto it = _ghostMap.find(key);
-    if (it != _ghostMap.end()) {
-        _ghostList.splice(_ghostList.begin(), _ghostList,
-                          it->second);
-        return;
-    }
-    _ghostList.push_front(key);
-    _ghostMap.emplace(key, _ghostList.begin());
-    if (_ghostMap.size() > _ghostCap) {
-        _ghostMap.erase(_ghostList.back());
-        _ghostList.pop_back();
-    }
+    _ghost.insert(key);
+    if (_ghost.size() > _ghostCap)
+        _ghost.evict();
 }
 
 CacheTier::Access
@@ -436,8 +375,7 @@ CacheTier::annotate(const InferenceBatch &batch)
             const std::uint64_t key =
                 (static_cast<std::uint64_t>(t) << 32) |
                 (rows[i] & 0xffffffffULL);
-            if (_policy->contains(key)) {
-                _policy->touch(key);
+            if (_policy->touchIfResident(key)) {
                 mask[i] = 1;
                 ++acc.hits;
                 continue;
@@ -476,17 +414,14 @@ CacheTier::stats() const
 std::vector<std::uint64_t>
 CacheTier::residentKeys() const
 {
-    std::vector<std::uint64_t> keys = _policy->keys();
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    return _policy->keys();
 }
 
 void
 CacheTier::reset()
 {
     _policy = makePolicy(_cfg.policy);
-    _ghostList.clear();
-    _ghostMap.clear();
+    _ghost.clear();
     _hits = _misses = _evictions = _rejectedFills = 0;
     _savedTicks = 0;
 }

@@ -24,10 +24,14 @@
  *    second touch, so one-hit wonders never displace hot rows).
  *
  * Determinism contract: accesses happen in request-id dispatch order
- * within one single-threaded simulation, every structure is ordered
- * (std::map / std::list / std::set - never unordered), and ties
- * break on insertion sequence numbers. Runs are byte-identical at
- * any `--jobs` because suite points own independent tiers.
+ * within one single-threaded simulation. Lookups go through a flat
+ * index with a fixed hash (cachetier/row_index.hh), so its layout is
+ * a pure function of the access stream; nothing iterates it except
+ * `keys()`, which sorts. Every decision reads an ordered structure
+ * instead: victims come off `u32`-linked recency lists, and LFU
+ * ties break on insertion sequence numbers in an ordered set. Runs
+ * are byte-identical at any `--jobs` because suite points own
+ * independent tiers.
  *
  * The spec grammar suffix (`.../cache:<mb>[:<lru|lfu|slru>[:ghost]]`)
  * parsed here is shared by single-node specs (core/backend.hh) and
@@ -38,12 +42,11 @@
 #define CENTAUR_CACHETIER_CACHE_TIER_HH
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cachetier/row_index.hh"
 #include "sim/units.hh"
 
 namespace centaur {
@@ -137,8 +140,9 @@ struct CacheStats
 };
 
 /**
- * Eviction-policy interface: an ordered set of resident row keys
- * with policy-specific recency/frequency bookkeeping. Keys are
+ * Eviction-policy interface: the set of resident row keys, held in
+ * one RowIndex that maps each key to the policy's node, plus
+ * policy-specific recency/frequency bookkeeping. Keys are
  * `(table << 32) | row`. Implementations live in cache_tier.cc and
  * are selected by CacheTierConfig::policy.
  */
@@ -147,16 +151,19 @@ class RowCachePolicy
   public:
     virtual ~RowCachePolicy() = default;
 
-    virtual bool contains(std::uint64_t key) const = 0;
-    /** Record a hit on a resident key. */
-    virtual void touch(std::uint64_t key) = 0;
+    /** Record a hit if @p key is resident; returns whether it was. */
+    virtual bool touchIfResident(std::uint64_t key) = 0;
     /** Insert a non-resident key (capacity ensured by caller). */
     virtual void insert(std::uint64_t key) = 0;
     /** Remove and return the victim key. */
     virtual std::uint64_t evict() = 0;
-    virtual std::size_t size() const = 0;
+    std::size_t size() const { return _index.size(); }
     /** Resident keys in ascending key order (tests/debug). */
-    virtual std::vector<std::uint64_t> keys() const = 0;
+    std::vector<std::uint64_t> keys() const { return _index.keys(); }
+
+  protected:
+    /** Resident key -> the policy's node for it. */
+    RowIndex _index;
 };
 
 /**
@@ -228,9 +235,7 @@ class CacheTier
     std::unique_ptr<RowCachePolicy> _policy;
 
     /** Ghost LRU of recently seen-but-unadmitted / evicted keys. */
-    std::list<std::uint64_t> _ghostList;
-    std::map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        _ghostMap;
+    RowLru _ghost;
     std::uint64_t _ghostCap = 0;
 
     std::uint64_t _hits = 0;

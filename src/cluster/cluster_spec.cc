@@ -176,10 +176,22 @@ tryParseClusterSpec(const std::string &spec, ClusterSpec *out,
     if (x + 1 >= head.size() || head[x + 1] != '(')
         return failWith(error, spec,
                         "expected '(' after the node count");
-    const std::size_t close = head.find(')', x + 2);
-    if (close == std::string::npos)
+    // The node spec ends at the ')' that matches the opening '('.
+    std::size_t close = x + 2;
+    for (int depth = 1; close < head.size(); ++close) {
+        if (head[close] == '(')
+            ++depth;
+        else if (head[close] == ')' && --depth == 0)
+            break;
+    }
+    if (close == head.size())
         return failWith(error, spec, "unclosed '(' in node spec");
     cfg.nodeSpec = head.substr(x + 2, close - (x + 2));
+    if (isClusterSpec(cfg.nodeSpec))
+        return failWith(error, spec,
+                        "node spec '" + cfg.nodeSpec +
+                            "' is itself a cluster; clusters do not "
+                            "nest");
     std::string spec_error;
     if (!tryParseSpec(cfg.nodeSpec, nullptr, &spec_error))
         return failWith(error, spec, spec_error);

@@ -14,12 +14,10 @@ Iommu::translate(Addr virt)
     const std::uint64_t page = virt / _cfg.pageBytes;
     TranslationResult res;
     res.physical = virt; // identity map in the simulated space
-    auto it = _entries.find(page);
-    if (it != _entries.end()) {
+    if (_tlb.touchIfResident(page)) {
         ++_hits;
         res.tlbHit = true;
         res.latency = _hitLatency;
-        touch(page);
     } else {
         ++_misses;
         res.tlbHit = false;
@@ -33,35 +31,22 @@ void
 Iommu::preload(Addr virt)
 {
     const std::uint64_t page = virt / _cfg.pageBytes;
-    if (_entries.find(page) == _entries.end())
+    if (!_tlb.contains(page))
         install(page);
 }
 
 void
 Iommu::flush()
 {
-    _lru.clear();
-    _entries.clear();
-}
-
-void
-Iommu::touch(std::uint64_t page)
-{
-    auto it = _entries.find(page);
-    _lru.erase(it->second);
-    _lru.push_front(page);
-    it->second = _lru.begin();
+    _tlb.clear();
 }
 
 void
 Iommu::install(std::uint64_t page)
 {
-    if (_entries.size() >= _cfg.tlbEntries && !_lru.empty()) {
-        _entries.erase(_lru.back());
-        _lru.pop_back();
-    }
-    _lru.push_front(page);
-    _entries[page] = _lru.begin();
+    if (_tlb.size() >= _cfg.tlbEntries && _tlb.size() > 0)
+        _tlb.evict();
+    _tlb.insert(page);
 }
 
 } // namespace centaur

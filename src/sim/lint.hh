@@ -25,8 +25,12 @@
  *    is hash-order, which varies by libstdc++ version and seed, so
  *    any iteration (or even a declaration, absent an audit pragma)
  *    that can reach stats/JSON emission is flagged. Audit the use,
- *    then annotate it (see iommu.hh's TLB map for the worked
- *    example), or switch to std::map / a sorted snapshot.
+ *    then annotate it (tests/lint/fixtures/clean.hh's `_scores` map
+ *    is the worked example), or switch to std::map / a sorted
+ *    snapshot. Hot point-wise lookups in src/ use the fixed-hash
+ *    flat index of cachetier/row_index.hh instead, whose layout
+ *    depends only on the key stream and which is walked only by its
+ *    sorting `keys()`.
  *
  *  - `unit-suffix` — a float field, parameter or JSON key holding a
  *    time/size/power quantity must name its unit with a suffix

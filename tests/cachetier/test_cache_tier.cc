@@ -6,11 +6,14 @@
  * promises, the ghost filter admits only on the second touch, the
  * fill/evict stream is a pure function of the access stream, and a
  * /cache:0 suffix is tick-identical to the bare spec on every
- * registered backend composition.
+ * registered backend composition. Long zipf-plus-scan streams pin
+ * every policy's hit masks, victims and final residency.
  */
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -258,6 +261,139 @@ TEST(CacheDeterminism, SameStreamSameFillAndEvictionState)
     EXPECT_EQ(a.residentKeys(), b.residentKeys());
     EXPECT_GT(sa.hits, 0u);
     EXPECT_GT(sa.evictions, 0u);
+}
+
+/** The pinned outcome of one long eviction-heavy stream. */
+struct TierGolden
+{
+    const char *name;
+    CachePolicy policy;
+    bool ghost;
+    std::uint64_t maskHash; //!< FNV-1a over every hit-mask byte
+    std::uint64_t hits;
+    std::uint64_t evictions;
+    std::uint64_t rejectedFills;
+    std::uint64_t resident;     //!< residentKeys().size()
+    std::uint64_t residentHash; //!< FNV-1a over residentKeys()
+};
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t value, int bytes)
+{
+    for (int b = 0; b < bytes; ++b) {
+        h ^= (value >> (8 * b)) & 0xff;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/**
+ * 300 batches of zipf:0.9 traffic (4 tables x 16 lookups x 8
+ * samples over 20000 rows) into a 256-row tier; batch 10k+4 is
+ * instead a scan of 256 fresh rows per table, each touched twice in
+ * a row so the ghost filter admits them too. Returns the outcome;
+ * `name` and the config fields are copied from @p g.
+ */
+TierGolden
+runTierStream(const TierGolden &g, CacheTier &tier)
+{
+    DlrmConfig model;
+    model.numTables = 4;
+    model.lookupsPerTable = 16;
+    model.rowsPerTable = 20000;
+
+    WorkloadConfig wl;
+    wl.batch = 8;
+    wl.seed = 91;
+    wl.dist = IndexDistribution::Zipf;
+    wl.zipfSkew = 0.9;
+    WorkloadGenerator gen(model, wl);
+
+    std::uint64_t scan_row = 10000;
+    TierGolden out = g;
+    out.maskHash = kFnvBasis;
+    for (int b = 0; b < 300; ++b) {
+        InferenceBatch batch;
+        if (b % 10 == 4) {
+            batch.batch = 8;
+            batch.lookupsPerTable = 64;
+            batch.indices.assign(model.numTables, {});
+            for (std::uint64_t i = 0; i < 256; ++i, ++scan_row)
+                for (auto &rows : batch.indices)
+                    rows.insert(rows.end(), 2, scan_row);
+        } else {
+            batch = gen.next();
+        }
+        tier.annotate(batch);
+        for (const auto &mask : batch.cacheHit)
+            for (std::uint8_t hit : mask)
+                out.maskHash = fnv1a(out.maskHash, hit, 1);
+    }
+    const CacheStats s = tier.stats();
+    out.hits = s.hits;
+    out.evictions = s.evictions;
+    out.rejectedFills = s.rejectedFills;
+    const std::vector<std::uint64_t> keys = tier.residentKeys();
+    out.resident = keys.size();
+    out.residentHash = kFnvBasis;
+    for (std::uint64_t k : keys)
+        out.residentHash = fnv1a(out.residentHash, k, 8);
+    return out;
+}
+
+TEST(CacheTierGolden, EvictionHeavyStreamsOnEveryPolicy)
+{
+    const TierGolden golden[] = {
+        {"lru", CachePolicy::Lru, false, 0x8b942e060188cab8ULL, 52307,
+         147117, 0, 256, 0x8d40fcd2a35fa6b8ULL},
+        {"lru:ghost", CachePolicy::Lru, true, 0x28ceb1e6c4ae675fULL,
+         27466, 35139, 136819, 256, 0x889d2287cf2126afULL},
+        {"lfu", CachePolicy::Lfu, false, 0xe791866ea77ea393ULL, 62096,
+         137328, 0, 256, 0xc0427068e4d19b89ULL},
+        {"lfu:ghost", CachePolicy::Lfu, true, 0xf77efed4157099a0ULL,
+         42041, 32250, 125133, 256, 0x8c31e80ac8d409e8ULL},
+        {"slru", CachePolicy::Slru, false, 0x8a15d66f9e6d2d57ULL, 60916,
+         138508, 0, 256, 0xb3916a2ae873fc07ULL},
+        {"slru:ghost", CachePolicy::Slru, true, 0x87c65057a21efb27ULL,
+         41186, 32289, 125949, 256, 0x2d7bbb04a0cfcbf7ULL},
+    };
+    for (const TierGolden &g : golden) {
+        CacheTier tier(tierConfig(mbForRows(256), g.policy, g.ghost),
+                       kRowBytes);
+        const TierGolden a = runTierStream(g, tier);
+        char actual[256];
+        std::snprintf(actual, sizeof(actual),
+                      "{\"%s\", CachePolicy::%s, %s, 0x%016" PRIx64
+                      "ULL, %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                      ", %" PRIu64 ", 0x%016" PRIx64 "ULL}",
+                      g.name,
+                      g.policy == CachePolicy::Lru   ? "Lru"
+                      : g.policy == CachePolicy::Lfu ? "Lfu"
+                                                     : "Slru",
+                      g.ghost ? "true" : "false", a.maskHash, a.hits,
+                      a.evictions, a.rejectedFills, a.resident,
+                      a.residentHash);
+        SCOPED_TRACE(std::string("actual: ") + actual);
+        EXPECT_EQ(a.maskHash, g.maskHash);
+        EXPECT_EQ(a.hits, g.hits);
+        EXPECT_EQ(a.evictions, g.evictions);
+        EXPECT_EQ(a.rejectedFills, g.rejectedFills);
+        EXPECT_EQ(a.resident, g.resident);
+        EXPECT_EQ(a.residentHash, g.residentHash);
+        // The stream really is eviction-heavy, and the tier is full.
+        EXPECT_GT(a.evictions, 10000u);
+        EXPECT_EQ(a.resident, tier.capacityRows());
+
+        // reset() forgets everything: a second pass replays the
+        // first exactly.
+        tier.reset();
+        const TierGolden b = runTierStream(g, tier);
+        EXPECT_EQ(b.maskHash, a.maskHash);
+        EXPECT_EQ(b.evictions, a.evictions);
+        EXPECT_EQ(b.residentHash, a.residentHash);
+    }
 }
 
 TEST(CacheZeroIdentity, ZeroBudgetSuffixMatchesEverySpec)

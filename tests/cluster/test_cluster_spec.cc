@@ -104,6 +104,9 @@ TEST(ClusterSpecParse, RejectionNamesTheBadToken)
         {"cluster:2(cpu)", "after 'cluster:'"}, // no 'x' separator
         {"cluster:2x(tpu)", "'tpu'"},
         {"cluster:2x(cpu", "unclosed"},
+        // A nested cluster is named whole, not cut at its first ')'.
+        {"cluster:2x(cluster:2x(cpu))", "'cluster:2x(cpu)'"},
+        {"cluster:2x(cluster:2x(cpu)", "unclosed"},
         {"cluster:2x(cpu)/shard:mod", "'mod'"},
         {"cluster:2x(cpu)/shard:hash:0", "'0'"},
         {"cluster:2x(cpu)/route:sticky", "'sticky'"},
