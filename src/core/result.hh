@@ -101,7 +101,13 @@ struct InferenceResult
     LayerStats emb;
     LayerStats mlp;
 
-    /** Functional outputs (event probabilities per sample). */
+    /**
+     * Functional outputs (event probabilities per sample), filled by
+     * systems built with the functional pass on - the
+     * SystemBuilder default, which makeSystem, the sweeps and the
+     * paper suites use. Serving and cluster workers (makeWorkers)
+     * are timing-only and leave this empty.
+     */
     std::vector<float> probabilities;
 
     double powerWatts = 0.0;

@@ -150,6 +150,7 @@ makeWorkers(const std::string &default_spec, const DlrmConfig &model,
             .model(model)
             .fabric(fabric)
             .cacheTier(cache)
+            .functional(false)
             .build();
     };
     std::vector<std::unique_ptr<System>> out;

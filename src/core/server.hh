@@ -278,6 +278,9 @@ class ServingEngine
  * is built sharing that node fabric; with @p cache non-null every
  * worker shares that node hot-row cache tier (a worker spec with
  * its own `/cache:` part and no shared tier owns a private one).
+ * Workers are timing-only (SystemBuilder::functional(false)): the
+ * engines read no probabilities, so InferenceResult::probabilities
+ * stays empty.
  */
 std::vector<std::unique_ptr<System>>
 makeWorkers(const std::string &default_spec, const DlrmConfig &model,

@@ -24,11 +24,13 @@ class ComposedSystem : public System
                    const PowerConfig &power, const CpuConfig &cpu,
                    const GpuConfig &gpu, const CentaurConfig &fpga,
                    const DramConfig &dram, const InterconnectHop &hop,
-                   Fabric *fabric, CacheTier *cache_tier)
+                   Fabric *fabric, CacheTier *cache_tier,
+                   bool functional)
         : System(model, power), _spec(spec), _specName(specName(spec)),
           _anchor(anchorDesignPoint(spec)),
           _watts(specWatts(spec, power)),
-          _hier(broadwellHierarchyConfig()), _dram(dram)
+          _hier(broadwellHierarchyConfig()), _dram(dram),
+          _functional(functional)
     {
         // Hot-row cache tier: an externally shared (node-level) tier
         // wins; otherwise a cache-enabled spec gets a private one.
@@ -121,8 +123,12 @@ class ComposedSystem : public System
             _cache->recordSavedTicks(res.cacheSavedTicks);
 
         // ----- functional result (stage-appropriate sigmoid) -----
-        const ForwardResult fwd = _model.forward(batch);
-        _mlp->probabilities(fwd, res);
+        // The forward pass is const and draws no RNG, so skipping it
+        // leaves every timing, stat and tier field above unchanged.
+        if (_functional) {
+            const ForwardResult fwd = _model.forward(batch);
+            _mlp->probabilities(fwd, res);
+        }
 
         res.powerWatts = _watts;
         res.energyJoules = _watts * secFromTicks(res.latency());
@@ -140,6 +146,7 @@ class ComposedSystem : public System
     CacheTier *_cache = nullptr;
     std::unique_ptr<EmbeddingBackend> _emb;
     std::unique_ptr<MlpBackend> _mlp;
+    bool _functional;
 };
 
 } // namespace
@@ -221,13 +228,20 @@ SystemBuilder::cacheTier(CacheTier *tier)
     return *this;
 }
 
+SystemBuilder &
+SystemBuilder::functional(bool on)
+{
+    _functional = on;
+    return *this;
+}
+
 std::unique_ptr<System>
 SystemBuilder::build() const
 {
     return std::make_unique<ComposedSystem>(_model, _spec, _power,
                                             _cpu, _gpu, _fpga, _dram,
                                             _hop, _fabric,
-                                            _cacheTier);
+                                            _cacheTier, _functional);
 }
 
 std::unique_ptr<System>

@@ -70,6 +70,18 @@ class SystemBuilder
      */
     SystemBuilder &cacheTier(CacheTier *tier);
 
+    /**
+     * Run the functional DLRM pass (the reference forward and the
+     * MLP stage's sigmoid) on every infer() and fill
+     * InferenceResult::probabilities; on by default. Off builds a
+     * timing-only system: probabilities stay empty and every timing,
+     * stat, tier and energy field is the same as with it on, since
+     * the forward pass is const and draws no RNG. Only makeWorkers
+     * (core/server.hh) turns it off: the serving and cluster engines
+     * never read the probabilities.
+     */
+    SystemBuilder &functional(bool on);
+
     /** Assemble the composed system. */
     std::unique_ptr<System> build() const;
 
@@ -84,6 +96,7 @@ class SystemBuilder
     InterconnectHop _hop{};
     Fabric *_fabric = nullptr;
     CacheTier *_cacheTier = nullptr;
+    bool _functional = true;
 };
 
 /** Convenience: build a registered spec with default device configs. */

@@ -1,6 +1,10 @@
 #include "dlrm/workload.hh"
 
+#include <cstring>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "dlrm/trace.hh"
 #include "sim/log.hh"
@@ -35,6 +39,24 @@ arrivalProcessName(ArrivalProcess arrival)
     return "?";
 }
 
+std::shared_ptr<const ZipfAliasSampler>
+sharedZipfAliasSampler(std::uint64_t rows, double skew)
+{
+    static std::mutex mu;
+    static std::map<std::pair<std::uint64_t, std::uint64_t>,
+                    std::shared_ptr<const ZipfAliasSampler>>
+        memo;
+    std::uint64_t skew_bits = 0;
+    std::memcpy(&skew_bits, &skew, sizeof(skew_bits));
+    // Built under the lock: a second caller of the same key waits
+    // for the first build instead of repeating it.
+    const std::lock_guard<std::mutex> lock(mu);
+    auto &slot = memo[{rows, skew_bits}];
+    if (!slot)
+        slot = std::make_shared<const ZipfAliasSampler>(rows, skew);
+    return slot;
+}
+
 WorkloadGenerator::WorkloadGenerator(const DlrmConfig &model,
                                      const WorkloadConfig &cfg)
     : _model(model), _cfg(cfg), _rng(cfg.seed)
@@ -43,8 +65,7 @@ WorkloadGenerator::WorkloadGenerator(const DlrmConfig &model,
       case IndexDistribution::Uniform:
         break;
       case IndexDistribution::Zipf:
-        _zipf = std::make_unique<ZipfAliasSampler>(model.rowsPerTable,
-                                                   cfg.zipfSkew);
+        _zipf = sharedZipfAliasSampler(model.rowsPerTable, cfg.zipfSkew);
         break;
       case IndexDistribution::Trace: {
         if (cfg.tracePath.empty())

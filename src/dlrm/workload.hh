@@ -158,11 +158,24 @@ struct InferenceBatch
 };
 
 /**
+ * The Zipf alias table over @p rows rows at @p skew, built on first
+ * use and then shared, immutable, for the life of the process by
+ * every caller asking for the same rows and the same skew bit
+ * pattern. A table over all rows of an embedding table takes
+ * milliseconds to build, and every serving or cluster run builds a
+ * generator. Thread-safe: concurrent callers of one key get one
+ * pointer.
+ */
+std::shared_ptr<const ZipfAliasSampler>
+sharedZipfAliasSampler(std::uint64_t rows, double skew);
+
+/**
  * Deterministic batch generator for one model configuration.
  *
  * Synthetic distributions (Uniform, Zipf) draw from the seeded RNG;
- * the Zipf draw is O(1) via an alias table built once per generator
- * (all tables share the model's row count). Trace replay loads the
+ * the Zipf draw is O(1) via an alias table shared by every generator
+ * of the same row count and skew (sharedZipfAliasSampler; all
+ * tables share the model's row count). Trace replay loads the
  * file once into a per-sample stream and re-batches it to
  * cfg.batch, cycling at the end - the recording fixes the *samples*
  * (indices + dense features, bit for bit), the runner still owns
@@ -196,7 +209,8 @@ class WorkloadGenerator
     DlrmConfig _model;
     WorkloadConfig _cfg;
     Rng _rng;
-    std::unique_ptr<ZipfAliasSampler> _zipf; //!< dist == Zipf only
+    /** dist == Zipf only */
+    std::shared_ptr<const ZipfAliasSampler> _zipf;
     std::vector<TraceSample> _traceSamples;
     std::size_t _traceNext = 0;
 };

@@ -4,7 +4,8 @@
  * canned paper presets must reproduce the monolithic reference
  * classes exactly (latency, every phase, energy, cache statistics,
  * probabilities) at every Table I preset, the makeSystem shim must
- * be byte-compatible, and the new backend pairings must behave
+ * be byte-compatible, a timing-only system must match a full one in
+ * every timing field, and the new backend pairings must behave
  * according to the paper's qualitative orderings.
  */
 
@@ -14,10 +15,16 @@
 
 // The monolithic reference classes are reached through the
 // consolidated legacy surface.
+#include "cachetier/cache_report.hh"
 #include "core/backend.hh"
 #include "core/compat.hh"
+#include "core/experiment.hh"
+#include "core/report.hh"
+#include "core/scenario.hh"
+#include "core/server.hh"
 #include "core/system.hh"
 #include "core/system_builder.hh"
+#include "dlrm/workload_spec.hh"
 
 namespace centaur {
 namespace {
@@ -171,6 +178,91 @@ TEST(ComposedSystem, EveryRegisteredSpecRunsAndAccountsPhases)
             EXPECT_NEAR(r.probabilities[i], golden.probabilities[i],
                         2e-3f);
     }
+}
+
+/** toJson(@p res) without the one field the functional pass owns. */
+std::string
+timingJson(const InferenceResult &res)
+{
+    Json j = toJson(res);
+    j["num_probabilities"] = 0;
+    return j.dump();
+}
+
+TEST(ComposedSystem, TimingOnlyMatchesFullInEveryTimingField)
+{
+    // Skipping the functional pass must not move a single timing,
+    // stat, tier or energy field, over a stream long enough for the
+    // caches, the tier and the internal clock to carry state.
+    const DlrmConfig cfg = dlrmPreset(1);
+    constexpr std::uint32_t kBatch = 8;
+    std::vector<std::string> specs = registeredSpecs();
+    specs.push_back("cpu+fpga/cache:4");
+    for (const char *workload : {"uniform", "zipf:1.1"}) {
+        for (const std::string &spec : specs) {
+            SCOPED_TRACE(spec + " " + workload);
+            auto full =
+                SystemBuilder().spec(spec).model(cfg).build();
+            auto timing = SystemBuilder()
+                              .spec(spec)
+                              .model(cfg)
+                              .functional(false)
+                              .build();
+            WorkloadConfig wl = parseWorkloadSpec(workload);
+            wl.batch = kBatch;
+            wl.seed = 5;
+            WorkloadGenerator gen(cfg, wl);
+            for (int i = 0; i < 40; ++i) {
+                // One copy per system: the tier annotates the batch.
+                const InferenceBatch b = gen.next();
+                const InferenceBatch b_copy = b;
+                const InferenceResult rf = full->infer(b);
+                const InferenceResult rt = timing->infer(b_copy);
+                ASSERT_EQ(timingJson(rf), timingJson(rt)) << "batch " << i;
+                EXPECT_EQ(rf.start, rt.start);
+                EXPECT_EQ(rf.end, rt.end);
+                EXPECT_EQ(rf.cacheHits, rt.cacheHits);
+                EXPECT_EQ(rf.cacheMisses, rt.cacheMisses);
+                EXPECT_EQ(rf.cacheSavedTicks, rt.cacheSavedTicks);
+                ASSERT_EQ(full->now(), timing->now());
+                EXPECT_EQ(rf.probabilities.size(), kBatch);
+                EXPECT_TRUE(rt.probabilities.empty());
+            }
+            ASSERT_EQ(full->cacheTier() != nullptr,
+                      timing->cacheTier() != nullptr);
+            if (full->cacheTier()) {
+                EXPECT_EQ(toJson(full->cacheTier()->stats()).dump(),
+                          toJson(timing->cacheTier()->stats()).dump());
+                EXPECT_EQ(full->cacheTier()->residentKeys(),
+                          timing->cacheTier()->residentKeys());
+            }
+        }
+    }
+}
+
+TEST(ComposedSystem, OnlyServingWorkersSkipTheFunctionalPass)
+{
+    const DlrmConfig cfg = dlrmPreset(1);
+    WorkloadConfig wl;
+    wl.batch = 4;
+    WorkloadGenerator gen(cfg, wl);
+    const InferenceBatch b = gen.next();
+
+    ServingConfig serving;
+    serving.workers = 2;
+    for (auto &worker : makeWorkers("cpu+fpga", cfg, serving))
+        EXPECT_TRUE(worker->infer(b).probabilities.empty());
+    serving.workerSpecs = {"cpu", "cpu+gpu/cache:4"};
+    for (auto &worker : makeWorkers("cpu+fpga", cfg, serving))
+        EXPECT_TRUE(worker->infer(b).probabilities.empty());
+
+    EXPECT_EQ(makeSystem("cpu+fpga", cfg)->infer(b).probabilities.size(),
+              4u);
+    const std::vector<SweepEntry> sweep =
+        runSweep(Scenario{"cpu+fpga", "dlrm1", "uniform"}, {1, 16});
+    ASSERT_EQ(sweep.size(), 2u);
+    for (const SweepEntry &e : sweep)
+        EXPECT_EQ(e.result.probabilities.size(), e.batch);
 }
 
 TEST(ComposedSystem, InternalClockAdvancesAcrossInferences)

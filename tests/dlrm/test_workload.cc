@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "dlrm/trace.hh"
 #include "dlrm/workload.hh"
@@ -280,6 +283,68 @@ TEST(Workload, ZipfAliasDrawIsDeterministicUnderSeed)
     WorkloadGenerator a(cfg, wl);
     WorkloadGenerator b(cfg, wl);
     EXPECT_EQ(a.next().indices, b.next().indices);
+}
+
+TEST(Workload, ZipfGeneratorsShareOneAliasTablePerRowsAndSkew)
+{
+    DlrmConfig cfg = tinyModel();
+    cfg.rowsPerTable = 1021; // a key no other test uses
+    WorkloadConfig wl;
+    wl.batch = 8;
+    wl.dist = IndexDistribution::Zipf;
+    wl.zipfSkew = 1.05;
+    wl.seed = 77;
+    WorkloadGenerator a(cfg, wl);
+    WorkloadGenerator b(cfg, wl);
+    for (int i = 0; i < 4; ++i) {
+        const InferenceBatch ba = a.next();
+        const InferenceBatch bb = b.next();
+        EXPECT_EQ(ba.indices, bb.indices);
+        EXPECT_EQ(ba.dense, bb.dense);
+    }
+
+    const auto shared = sharedZipfAliasSampler(1021, 1.05);
+    EXPECT_EQ(shared, sharedZipfAliasSampler(1021, 1.05));
+    EXPECT_EQ(shared->population(), 1021u);
+    EXPECT_EQ(shared->skew(), 1.05);
+    // Generators a and b plus the two lookups above: one table.
+    EXPECT_GE(shared.use_count(), 3);
+    EXPECT_NE(shared, sharedZipfAliasSampler(1021, 1.1));
+    EXPECT_NE(shared, sharedZipfAliasSampler(1022, 1.05));
+
+    // The shared table draws exactly what a private one draws: the
+    // first batch's indices are the sampler's first draws on the
+    // generator's seeded RNG, table by table.
+    WorkloadGenerator c(cfg, wl);
+    const InferenceBatch first = c.next();
+    const ZipfAliasSampler own(1021, 1.05);
+    Rng rng(wl.seed);
+    for (const auto &table : first.indices)
+        for (std::uint64_t idx : table)
+            EXPECT_EQ(idx, own.sample(rng));
+}
+
+TEST(Workload, ConcurrentZipfBuildsOfOneKeyGetOnePointer)
+{
+    // Four threads ask for a key nobody has built yet at once; the
+    // memo must hand every one of them the same table.
+    constexpr int kThreads = 4;
+    std::atomic<int> ready{0};
+    std::vector<std::shared_ptr<const ZipfAliasSampler>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) {
+            }
+            got[t] = sharedZipfAliasSampler(50021, 0.93);
+        });
+    for (std::thread &th : threads)
+        th.join();
+    ASSERT_NE(got[0], nullptr);
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(got[t], got[0]);
+    EXPECT_EQ(got[0]->population(), 50021u);
 }
 
 TEST(Workload, UniformCoversTheTable)
