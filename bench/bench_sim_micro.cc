@@ -129,6 +129,36 @@ BM_HierarchyMissPath(benchmark::State &state)
 }
 BENCHMARK(BM_HierarchyMissPath);
 
+// The embedding gather's access pattern: random 2-line rows over a
+// 4 GiB table through the Broadwell hierarchy. Arg 1 hints each row's
+// set blocks kSetPrefetchDistance rows ahead, as GatherEngine does;
+// Arg 0 does not. The gap is the host latency the hint hides.
+void
+BM_GatherRows(benchmark::State &state)
+{
+    CacheHierarchy hier(broadwellHierarchyConfig());
+    const std::size_t distance = state.range(0) ? kSetPrefetchDistance : 0;
+    Rng rng(42);
+    std::vector<Addr> rows(std::size_t{1} << 16);
+    for (Addr &row : rows)
+        row = rng.nextBelow(std::uint64_t{1} << 25) * 128;
+    const std::size_t mask = rows.size() - 1;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        if (distance != 0) {
+            const Addr ahead = rows[(i + distance) & mask];
+            hier.prefetch(ahead);
+            hier.prefetch(ahead + 64);
+        }
+        const Addr row = rows[i & mask];
+        benchmark::DoNotOptimize(hier.access(row));
+        benchmark::DoNotOptimize(hier.access(row + 64));
+        ++i;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GatherRows)->Arg(0)->Arg(1);
+
 void
 BM_DramRandomAccess(benchmark::State &state)
 {

@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <ios>
 
@@ -30,23 +31,60 @@ isPow2(std::uint64_t v)
  * Make @p way the newest of a set: every way younger than @p age (the
  * way's rank, or @p ways when it was empty) ages by one. Empty ways
  * age too; their ranks are never read, and filling one zeroes it.
+ * The compare runs on 8-bit lanes, so @p age is clamped to 255: that
+ * only matters for a 256-way set with an empty way, whose at most 255
+ * valid ways all rank below 255 and age either way.
  */
 void
 touch(std::uint8_t *ranks, std::uint32_t ways, std::uint32_t way,
       std::uint32_t age)
 {
+    const auto age8 =
+        static_cast<std::uint8_t>(std::min<std::uint32_t>(age, 255));
     for (std::uint32_t w = 0; w < ways; ++w)
-        ranks[w] += ranks[w] < age;
+        ranks[w] += ranks[w] < age8;
     ranks[way] = 0;
 }
 
-} // namespace
-
-Cache::Cache(const CacheConfig &cfg)
-    : _cfg(cfg), _sets(cfg.sets()),
-      _hitLatency(ticksFromNs(cfg.hitLatencyNs))
+/**
+ * Index of the one entry of @p v[0..n) equal to @p key, or ~0 when
+ * none is. Callers guarantee at most one match (see Cache::lookup).
+ * The loop ORs index + 1 of every match with no early exit, so it has
+ * no data-dependent branch and vectorises at the baseline ISA.
+ */
+template <typename T>
+std::uint32_t
+uniqueMatch(const T *v, std::uint32_t n, T key)
 {
-    if (_sets == 0)
+    std::uint32_t found = 0;
+    for (std::uint32_t w = 0; w < n; ++w)
+        found |= v[w] == key ? w + 1 : 0;
+    return found - 1;
+}
+
+/** Number of non-zero (valid) tags in @p tags[0..n). */
+std::uint32_t
+validWays(const std::uint32_t *tags, std::uint32_t n)
+{
+    std::uint32_t valid = 0;
+    for (std::uint32_t w = 0; w < n; ++w)
+        valid += tags[w] != 0;
+    return valid;
+}
+
+[[noreturn]] __attribute__((noinline, cold)) void
+beyondTagRange(const std::string &name, Addr addr)
+{
+    fatal("cache '", name, "': address 0x", std::hex, addr, std::dec,
+          " is beyond its 32-bit tag range");
+}
+
+/** Set count of @p cfg; fatal for a geometry the model cannot hold. */
+std::uint64_t
+checkedSets(const CacheConfig &cfg)
+{
+    const std::uint64_t sets = cfg.sets();
+    if (sets == 0)
         fatal("cache '", cfg.name, "' has zero sets: size ",
               cfg.sizeBytes, " B, ", cfg.ways, " ways, ", cfg.lineBytes,
               " B lines");
@@ -56,7 +94,7 @@ Cache::Cache(const CacheConfig &cfg)
               "' size is not a multiple of ways*lineBytes");
     // A single set of one-byte lines would spend the 32-bit tag range
     // on the first 4 GiB.
-    if (_sets * cfg.lineBytes < 2)
+    if (sets * cfg.lineBytes < 2)
         fatal("cache '", cfg.name, "' needs more than one byte per set");
     if (!isPow2(cfg.lineBytes))
         fatal("cache '", cfg.name, "' line size ", cfg.lineBytes,
@@ -64,12 +102,19 @@ Cache::Cache(const CacheConfig &cfg)
     if (cfg.ways > 256)
         fatal("cache '", cfg.name, "' has ", cfg.ways,
               " ways; 8-bit LRU ranks allow at most 256");
-    _lineShift = log2Exact(cfg.lineBytes);
-    _setsPow2 = isPow2(_sets);
-    _setShift = _setsPow2 ? log2Exact(_sets) : 0;
-    _blockWords = (std::uint64_t{cfg.ways} * 5 + kBlockAlign - 1) /
-                  kBlockAlign * kBlockAlign / sizeof(std::uint32_t);
-    const std::uint64_t bytes = _sets * _blockWords * sizeof(std::uint32_t);
+    return sets;
+}
+
+} // namespace
+
+Cache::Cache(const CacheConfig &cfg)
+    : _cfg(cfg), _sets(checkedSets(cfg)),
+      _hitLatency(ticksFromNs(cfg.hitLatencyNs)),
+      _lineShift(log2Exact(cfg.lineBytes)),
+      _blockBytes((std::uint64_t{cfg.ways} * 5 + kBlockAlign - 1) /
+                  kBlockAlign * kBlockAlign)
+{
+    const std::uint64_t bytes = _sets.divisor() * _blockBytes;
     _blocks.reset(static_cast<std::uint32_t *>(
         std::aligned_alloc(kBlockAlign, bytes)));
     if (!_blocks)
@@ -82,93 +127,88 @@ Cache::Slot
 Cache::slotOf(Addr addr) const
 {
     const Addr line = addr >> _lineShift;
-    std::uint64_t set;
-    std::uint64_t tag;
-    if (_setsPow2) {
-        set = line & (_sets - 1);
-        tag = line >> _setShift;
-    } else {
-        tag = line / _sets;
-        set = line - tag * _sets;
-    }
+    const std::uint64_t tag = _sets.quot(line);
+    const std::uint64_t set = line - tag * _sets.divisor();
     if (tag >= 0xFFFFFFFFu)
-        fatal("cache '", _cfg.name, "': address 0x", std::hex, addr,
-              std::dec, " is beyond its 32-bit tag range");
+        beyondTagRange(_cfg.name, addr);
     return Slot{set, static_cast<std::uint32_t>(tag + 1)};
 }
 
+template <std::uint32_t W>
 CacheAccessResult
-Cache::access(Addr addr)
+Cache::lookupWays(Addr addr, bool counted)
 {
-    ++_accesses;
-    return lookup(addr, true);
-}
-
-CacheAccessResult
-Cache::fill(Addr addr)
-{
-    return lookup(addr, false);
-}
-
-CacheAccessResult
-Cache::lookup(Addr addr, bool counted)
-{
-    const std::uint32_t ways = _cfg.ways;
+    // Every scan below is a fixed-trip loop over the whole set, resting
+    // on two invariants of this model:
+    //  - a tag is stored only on a miss, so a set holds each tag at
+    //    most once, and a full set's ranks are a permutation of
+    //    0..ways-1: the line's way and the rank-(ways-1) victim are
+    //    unique matches;
+    //  - a miss fills the first empty way and only flush() empties
+    //    one (all at once), so the valid ways are a prefix and the
+    //    first empty way is the valid count.
+    const std::uint32_t ways = W != 0 ? W : _cfg.ways;
     const Slot slot = slotOf(addr);
     std::uint32_t *tags = tagsOf(slot.set);
     std::uint8_t *ranks = reinterpret_cast<std::uint8_t *>(tags + ways);
-    // One scan finds the line or, failing that, the first empty way.
-    std::uint32_t empty = ways;
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        if (tags[w] == slot.tag) {
-            if (counted && _cfg.policy == ReplacementPolicy::Lru)
-                touch(ranks, ways, w, ranks[w]);
-            return CacheAccessResult{true, false, 0};
-        }
-        if (tags[w] == 0 && empty == ways)
-            empty = w;
+    const std::uint32_t way = uniqueMatch(tags, ways, slot.tag);
+    if (way < ways) {
+        if (counted && _cfg.policy == ReplacementPolicy::Lru)
+            touch(ranks, ways, way, ranks[way]);
+        return CacheAccessResult{true, false, 0};
     }
     if (counted)
         ++_misses;
 
     CacheAccessResult res;
-    std::uint32_t victim = empty;
-    if (victim == ways) {
-        // Full set. Ranks are a permutation of 0..ways-1, and rank
-        // ways-1 is the least recently used (LRU) or first inserted
-        // (FIFO) way.
-        if (_cfg.policy == ReplacementPolicy::Random) {
-            victim = static_cast<std::uint32_t>(_rng.nextBelow(ways));
-        } else {
-            victim = 0;
-            while (ranks[victim] != ways - 1)
-                ++victim;
-        }
+    std::uint32_t victim = validWays(tags, ways);
+    const bool had_empty = victim < ways;
+    if (!had_empty) {
+        // Rank ways-1 is the least recently used (LRU) or first
+        // inserted (FIFO) way.
+        victim = _cfg.policy == ReplacementPolicy::Random
+                     ? static_cast<std::uint32_t>(_rng.nextBelow(ways))
+                     : uniqueMatch(ranks, ways,
+                                   static_cast<std::uint8_t>(ways - 1));
         res.evictedValid = true;
-        res.evictedAddr = ((std::uint64_t{tags[victim]} - 1) * _sets +
-                           slot.set)
-                          << _lineShift;
+        res.evictedAddr =
+            ((std::uint64_t{tags[victim]} - 1) * _sets.divisor() +
+             slot.set)
+            << _lineShift;
     }
-    touch(ranks, ways, victim, victim == empty ? ways : ranks[victim]);
+    touch(ranks, ways, victim, had_empty ? ways : ranks[victim]);
     tags[victim] = slot.tag;
     return res;
+}
+
+CacheAccessResult
+Cache::lookup(Addr addr, bool counted)
+{
+    // The Broadwell geometries get a compile-time way count, so their
+    // scans unroll into straight-line vector code with no remainder
+    // loop; every other geometry runs the same body with a runtime
+    // count.
+    switch (_cfg.ways) {
+      case 8:
+        return lookupWays<8>(addr, counted);
+      case 20:
+        return lookupWays<20>(addr, counted);
+      default:
+        return lookupWays<0>(addr, counted);
+    }
 }
 
 bool
 Cache::probe(Addr addr) const
 {
     const Slot slot = slotOf(addr);
-    const std::uint32_t *tags = tagsOf(slot.set);
-    for (std::uint32_t w = 0; w < _cfg.ways; ++w)
-        if (tags[w] == slot.tag)
-            return true;
-    return false;
+    return uniqueMatch(tagsOf(slot.set), _cfg.ways, slot.tag) < _cfg.ways;
 }
 
 void
 Cache::flush()
 {
-    for (std::uint64_t set = 0; set < _sets; ++set)
+    for (std::uint64_t set = 0; set < _sets.divisor(); ++set)
         std::memset(tagsOf(set), 0, _cfg.ways * sizeof(std::uint32_t));
 }
 

@@ -62,6 +62,17 @@ class CacheHierarchy
     /** Access a byte range; @return per-line worst (deepest) level. */
     HierarchyAccessResult accessRange(Addr addr, std::uint64_t bytes);
 
+    /**
+     * Host-only hint: prefetch the set blocks @p addr maps to at every
+     * level (Cache::prefetchSet). Changes no model state or counter.
+     */
+    void
+    prefetch(Addr addr) const
+    {
+        for (const auto &level : _levels)
+            level->prefetchSet(addr);
+    }
+
     /** Warm the line into all levels without counting an access. */
     void warm(Addr addr);
 

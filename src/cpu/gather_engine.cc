@@ -1,10 +1,10 @@
 #include "cpu/gather_engine.hh"
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "sim/log.hh"
+#include "sim/tick_window.hh"
 
 namespace centaur {
 
@@ -13,8 +13,10 @@ namespace {
 /** Per-thread execution state while sweeping one table's lookups. */
 struct ThreadCursor
 {
+    explicit ThreadCursor(std::uint32_t window) : pending(window) {}
+
     Tick now = 0;
-    std::deque<Tick> pending; //!< outstanding miss completions
+    TickWindow pending;       //!< outstanding miss completions
     std::uint32_t sample = 0; //!< next sample to process
     std::uint32_t sampleEnd = 0;
     std::uint32_t lookup = 0; //!< next lookup within sample
@@ -73,6 +75,11 @@ GatherEngine::run(const ReferenceModel &model,
     res.threadsUsed = threads;
     const std::uint32_t chunk = (batch.batch + threads - 1) / threads;
 
+    // One cursor per thread, reset per table: their miss windows
+    // allocate here, once per run.
+    std::vector<ThreadCursor> cursor(threads,
+                                     ThreadCursor(_cfg.gatherWindowLines));
+
     Tick table_start = start;
     std::uint64_t lookup_seq = 0;
     for (std::uint32_t t = 0; t < cfg.numTables; ++t) {
@@ -96,12 +103,35 @@ GatherEngine::run(const ReferenceModel &model,
         const Addr idx_base = layout.indexArrayBase + lookup_seq * 4;
         const std::uint32_t lookups_per_table = batch.lookupsPerTable;
 
-        std::vector<ThreadCursor> cursor(threads);
+        // Host-only: start loading the model's set blocks for the
+        // row of lookup @p flat, unless the cache tier serves it. The
+        // gather's global order is only known one access at a time
+        // (the cursor furthest behind goes next), but each cursor's
+        // own rows are contiguous in `indices`, so every cursor
+        // prefetches kSetPrefetchDistance lookups ahead of itself.
+        const auto prefetch_row = [&](std::size_t flat) {
+            if (hit_mask && flat < hit_mask_size && hit_mask[flat])
+                return;
+            const Addr row_addr = table.rowAddr(indices[flat]);
+            for (std::uint32_t l = 0; l < lines_per_vec; ++l)
+                _hier.prefetch(row_addr +
+                               static_cast<Addr>(l) * _hier.lineBytes());
+        };
+
         for (std::uint32_t th = 0; th < threads; ++th) {
-            cursor[th].now = table_start;
-            cursor[th].sample = std::min(th * chunk, batch.batch);
-            cursor[th].sampleEnd =
-                std::min((th + 1) * chunk, batch.batch);
+            ThreadCursor &c = cursor[th];
+            c.now = table_start;
+            c.pending.clear();
+            c.sample = std::min(th * chunk, batch.batch);
+            c.sampleEnd = std::min((th + 1) * chunk, batch.batch);
+            c.lookup = 0;
+            const std::size_t first =
+                static_cast<std::size_t>(c.sample) * lookups_per_table;
+            const std::size_t end =
+                static_cast<std::size_t>(c.sampleEnd) * lookups_per_table;
+            for (std::size_t f = first;
+                 f < std::min(end, first + kSetPrefetchDistance); ++f)
+                prefetch_row(f);
         }
 
         // Process one lookup at a time on whichever thread's clock
@@ -120,6 +150,10 @@ GatherEngine::run(const ReferenceModel &model,
             const std::uint32_t j = tc->lookup;
             const std::size_t flat =
                 static_cast<std::size_t>(b) * lookups_per_table + j;
+            const std::size_t ahead = flat + kSetPrefetchDistance;
+            if (ahead < static_cast<std::size_t>(tc->sampleEnd) *
+                            lookups_per_table)
+                prefetch_row(ahead);
 
             // Sparse-index fetch: a perfectly sequential 4 B stream.
             // The L2 stream prefetcher hides the DRAM round trip, so
@@ -156,15 +190,12 @@ GatherEngine::run(const ReferenceModel &model,
                                       _hier.lineBytes();
                 const auto acc = _hier.access(line);
                 if (acc.level == HitLevel::Memory) {
-                    if (tc->pending.size() >= _cfg.gatherWindowLines) {
-                        tc->now =
-                            std::max(tc->now, tc->pending.front());
-                        tc->pending.pop_front();
-                    }
+                    if (tc->pending.full())
+                        tc->now = std::max(tc->now, tc->pending.pop());
                     const Tick done =
                         _dram.access(line, tc->now + acc.latency)
                             .completion;
-                    tc->pending.push_back(done);
+                    tc->pending.push(done);
                 } else {
                     // Cache hits pipeline behind the OOO window;
                     // charge a quarter of the load-to-use latency.
@@ -182,12 +213,8 @@ GatherEngine::run(const ReferenceModel &model,
         }
 
         Tick table_end = table_start;
-        for (auto &c : cursor) {
-            Tick end = c.now;
-            for (Tick done : c.pending)
-                end = std::max(end, done);
-            table_end = std::max(table_end, end);
-        }
+        for (const ThreadCursor &c : cursor)
+            table_end = std::max(table_end, c.pending.latest(c.now));
         table_start = table_end;
         lookup_seq += indices.size();
     }

@@ -1,9 +1,9 @@
 #include "fpga/eb_streamer.hh"
 
 #include <algorithm>
-#include <deque>
 
 #include "sim/log.hh"
+#include "sim/tick_window.hh"
 
 namespace centaur {
 
@@ -91,7 +91,7 @@ EbStreamer::gather(const ReferenceModel &model,
 
     // Credit-limited outstanding line reads (AFU tag space).
     const std::uint32_t credits = _channel.maxOutstandingLines();
-    std::deque<Tick> outstanding;
+    TickWindow outstanding(credits);
 
     Tick gu_time = start;  // EB-GU issue pointer
     Tick ru_free = start;  // EB-RU availability
@@ -100,11 +100,34 @@ EbStreamer::gather(const ReferenceModel &model,
     for (std::uint32_t t = 0; t < cfg.numTables; ++t) {
         const auto &indices = batch.indices[t];
         const VirtualEmbeddingTable &table = model.table(t);
+        // batch.rowCached hoisted: the tier's hit mask for this table,
+        // empty when no tier annotated the batch.
+        const std::uint8_t *hit_mask =
+            t < batch.cacheHit.size() ? batch.cacheHit[t].data()
+                                      : nullptr;
+        const std::size_t hit_mask_size =
+            t < batch.cacheHit.size() ? batch.cacheHit[t].size() : 0;
+        const auto cached = [&](std::size_t i) {
+            return hit_mask && i < hit_mask_size && hit_mask[i] != 0;
+        };
         for (std::uint64_t i = 0; i < indices.size(); ++i) {
+            // Host-only: on the coherent path, start loading the LLC
+            // set blocks of the row kSetPrefetchDistance lookups
+            // ahead. The IOMMU maps identity, so the row's virtual
+            // address names its physical set.
+            const std::size_t ahead = i + kSetPrefetchDistance;
+            if (!_cfg.bypassCpuCache && ahead < indices.size() &&
+                !cached(ahead)) {
+                const Addr ahead_addr = table.rowAddr(indices[ahead]);
+                for (std::uint32_t l = 0; l < lines_per_vec; ++l)
+                    _llc.prefetchSet(ahead_addr +
+                                     static_cast<Addr>(l) * 64);
+            }
+
             // A cache-tier hit skips the IOMMU translate and the
             // line transfers entirely; the row still flows through
             // the reduce unit like any other vector.
-            if (batch.rowCached(t, i)) {
+            if (cached(i)) {
                 gu_time += _cyclePs;
                 const Cycles hit_ru_cycles =
                     (cfg.embeddingDim + _cfg.reduceLanes - 1) /
@@ -125,10 +148,8 @@ EbStreamer::gather(const ReferenceModel &model,
             for (std::uint32_t l = 0; l < lines_per_vec; ++l) {
                 // Stall the gather unit while the credit window is
                 // full - the only backpressure mechanism needed.
-                if (outstanding.size() >= credits) {
-                    gu_time = std::max(gu_time, outstanding.front());
-                    outstanding.pop_front();
-                }
+                if (outstanding.full())
+                    gu_time = std::max(gu_time, outstanding.pop());
                 const Tick issue = gu_time + trans.latency;
                 const auto req =
                     _channel.transfer(16, issue, LinkDir::FpgaToCpu);
@@ -140,7 +161,7 @@ EbStreamer::gather(const ReferenceModel &model,
                     ++res.llcHits;
                 const auto resp =
                     _channel.transfer(64, served, LinkDir::CpuToFpga);
-                outstanding.push_back(resp.lastByte);
+                outstanding.push(resp.lastByte);
                 vec_arrival = std::max(vec_arrival, resp.lastByte);
             }
             // One multi-CL gather request per FPGA cycle (CCI-P
@@ -160,10 +181,7 @@ EbStreamer::gather(const ReferenceModel &model,
     }
 
     // Drain any reads still in flight.
-    for (Tick done : outstanding)
-        last_done = std::max(last_done, done);
-
-    res.end = last_done;
+    res.end = outstanding.latest(last_done);
     return res;
 }
 

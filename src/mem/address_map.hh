@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "sim/divider.hh"
 #include "sim/units.hh"
 
 namespace centaur {
@@ -49,27 +50,43 @@ class AddressMap
     DramCoord
     map(Addr addr) const
     {
-        const std::uint64_t line = addr / 64;
+        const std::uint64_t line = addr >> 6;
         const auto channel =
-            static_cast<std::uint32_t>((line ^ (line >> 7)) % _channels);
-        const std::uint64_t chan_line = line / _channels;
+            static_cast<std::uint32_t>(_channels.rem(line ^ (line >> 7)));
+        const std::uint64_t chan_line = _channels.quot(line);
         const auto column =
-            static_cast<std::uint32_t>(chan_line % _linesPerRow);
-        const std::uint64_t row_major = chan_line / _linesPerRow;
-        const std::uint64_t row = row_major / _banks;
-        const auto bank = static_cast<std::uint32_t>(
-            (row_major ^ row) % _banks);
+            static_cast<std::uint32_t>(_linesPerRow.rem(chan_line));
+        const std::uint64_t row_major = _linesPerRow.quot(chan_line);
+        const std::uint64_t row = _banks.quot(row_major);
+        const auto bank =
+            static_cast<std::uint32_t>(_banks.rem(row_major ^ row));
         return DramCoord{channel, bank, row, column};
     }
 
-    std::uint32_t channels() const { return _channels; }
-    std::uint32_t banksPerChannel() const { return _banks; }
-    std::uint32_t linesPerRow() const { return _linesPerRow; }
+    std::uint32_t
+    channels() const
+    {
+        return static_cast<std::uint32_t>(_channels.divisor());
+    }
+
+    std::uint32_t
+    banksPerChannel() const
+    {
+        return static_cast<std::uint32_t>(_banks.divisor());
+    }
+
+    std::uint32_t
+    linesPerRow() const
+    {
+        return static_cast<std::uint32_t>(_linesPerRow.divisor());
+    }
 
   private:
-    std::uint32_t _channels;
-    std::uint32_t _banks;
-    std::uint32_t _linesPerRow;
+    // Divisors fixed at construction: shifts and masks for the
+    // power-of-two geometries every preset uses.
+    Divider _channels;
+    Divider _banks;
+    Divider _linesPerRow;
 };
 
 } // namespace centaur

@@ -7,13 +7,13 @@ namespace centaur {
 DramModel::DramModel(const DramConfig &cfg)
     : _cfg(cfg),
       _map(cfg.channels, cfg.banksPerChannel(), cfg.linesPerRow()),
-      _banks(cfg.channels,
-             std::vector<BankState>(cfg.banksPerChannel())),
+      _banks(std::size_t{cfg.channels} * cfg.banksPerChannel()),
       _tRcd(ticksFromNs(cfg.tRcdNs)),
       _tCas(ticksFromNs(cfg.tCasNs)), _tRp(ticksFromNs(cfg.tRpNs)),
       _burst(ticksFromNs(cfg.burstNs)),
       _controller(ticksFromNs(cfg.controllerNs)),
-      _tRefi(ticksFromNs(cfg.tRefiNs)), _tRfc(ticksFromNs(cfg.tRfcNs))
+      _tRefi(ticksFromNs(cfg.tRefiNs)), _tRfc(ticksFromNs(cfg.tRfcNs)),
+      _refiDiv(std::max<Tick>(_tRefi, 1))
 {
     _bus.reserve(cfg.channels);
     for (std::uint32_t ch = 0; ch < cfg.channels; ++ch)
@@ -24,7 +24,9 @@ DramAccessResult
 DramModel::access(Addr addr, Tick issue)
 {
     const DramCoord coord = _map.map(addr);
-    BankState &bank = _banks[coord.channel][coord.bank];
+    BankState &bank =
+        _banks[std::size_t{coord.channel} * _map.banksPerChannel() +
+               coord.bank];
 
     Tick start = std::max(issue + _controller, bank.readyAt);
 
@@ -32,7 +34,7 @@ DramModel::access(Addr addr, Tick issue)
     // the tail of each tREFI period wait it out; refresh also closes
     // every row buffer.
     if (_tRefi > 0) {
-        const Tick period_end = (start / _tRefi + 1) * _tRefi;
+        const Tick period_end = (_refiDiv.quot(start) + 1) * _tRefi;
         if (start >= period_end - _tRfc) {
             start = period_end;
             bank.open = false;
@@ -87,8 +89,7 @@ DramModel::accessRange(Addr addr, std::uint64_t bytes, Tick issue)
 void
 DramModel::reset()
 {
-    for (auto &channel : _banks)
-        std::fill(channel.begin(), channel.end(), BankState{});
+    std::fill(_banks.begin(), _banks.end(), BankState{});
     for (ResourceClock &bus : _bus)
         bus.reset();
     _reads = 0;

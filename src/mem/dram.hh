@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "mem/address_map.hh"
+#include "sim/divider.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
 #include "sim/units.hh"
@@ -130,8 +131,8 @@ class DramModel
 
     DramConfig _cfg;
     AddressMap _map;
-    std::vector<std::vector<BankState>> _banks; //!< [channel][bank]
-    std::vector<ResourceClock> _bus;            //!< data bus per channel
+    std::vector<BankState> _banks;   //!< [channel * banksPerChannel + bank]
+    std::vector<ResourceClock> _bus; //!< data bus per channel
 
     Tick _tRcd;
     Tick _tCas;
@@ -140,6 +141,7 @@ class DramModel
     Tick _controller;
     Tick _tRefi;
     Tick _tRfc;
+    Divider _refiDiv; //!< by _tRefi (by 1, unused, when refresh is off)
 
     std::uint64_t _reads = 0;
     std::uint64_t _rowHits = 0;

@@ -514,5 +514,21 @@ INSTANTIATE_TEST_SUITE_P(
                           ReplacementPolicy::Random)),
     oracleCaseName);
 
+// Non-power-of-two set counts on both sides of the divider's 2^16-set
+// bound. 81920 sets (24-way 120 MiB): lines below 2^64 / 81920 take
+// the multiply-high, the near-limit tags above it the hardware divide.
+// 3072 sets (12-way 2.25 MiB): every legal line takes the multiply.
+INSTANTIATE_TEST_SUITE_P(
+    DividerPaths, CacheOracleTest,
+    ::testing::Combine(
+        ::testing::Values(CacheConfig{"big24", 120 * kMiB, 24, 64, 20.0,
+                                      ReplacementPolicy::Lru},
+                          CacheConfig{"mid12", 2304 * kKiB, 12, 64, 10.0,
+                                      ReplacementPolicy::Lru}),
+        ::testing::Values(ReplacementPolicy::Lru,
+                          ReplacementPolicy::Fifo,
+                          ReplacementPolicy::Random)),
+    oracleCaseName);
+
 } // namespace
 } // namespace centaur

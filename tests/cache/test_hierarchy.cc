@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
+#include "sim/random.hh"
 
 namespace centaur {
 namespace {
@@ -128,6 +129,38 @@ TEST(Hierarchy, MlpWeightsStayResident)
     h.llc().resetStats();
     h.accessRange(0, weights);
     EXPECT_DOUBLE_EQ(h.llc().missRate(), 0.0);
+}
+
+// prefetch() is a host-only hint: a hierarchy sent hints on random
+// lines between its accesses must classify every access, and count
+// every level, exactly as an unhinted twin does.
+TEST(Hierarchy, PrefetchChangesNothing)
+{
+    CacheHierarchy hinted(broadwellHierarchyConfig());
+    CacheHierarchy plain(broadwellHierarchyConfig());
+    Rng rng(5);
+    for (int step = 0; step < 100000; ++step) {
+        hinted.prefetch(rng.nextBelow(Addr{1} << 36));
+        // Half the stream revisits a 1 MiB hot region so every level
+        // both hits and misses.
+        const Addr addr = rng.nextBelow(2) != 0
+                              ? rng.nextBelow(1 * kMiB)
+                              : rng.nextBelow(Addr{1} << 34);
+        const HierarchyAccessResult got = hinted.access(addr);
+        const HierarchyAccessResult want = plain.access(addr);
+        ASSERT_EQ(got.level, want.level) << "step " << step;
+        ASSERT_EQ(got.latency, want.latency) << "step " << step;
+    }
+    for (int lvl = 0; lvl < 3; ++lvl) {
+        Cache &a = lvl == 0 ? hinted.l1() : lvl == 1 ? hinted.l2()
+                                                     : hinted.llc();
+        Cache &b = lvl == 0 ? plain.l1() : lvl == 1 ? plain.l2()
+                                                    : plain.llc();
+        EXPECT_EQ(a.accesses(), b.accesses()) << "level " << lvl;
+        EXPECT_EQ(a.misses(), b.misses()) << "level " << lvl;
+        EXPECT_GT(a.hits(), 0U) << "level " << lvl;
+        EXPECT_GT(a.misses(), 0U) << "level " << lvl;
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include "cache/hierarchy.hh"
 #include "cpu/gather_engine.hh"
 #include "mem/dram.hh"
+#include "sim/random.hh"
 
 namespace centaur {
 namespace {
@@ -158,6 +159,45 @@ TEST(GatherEngine, DeterministicTiming)
     Rig a(tinyModel());
     Rig b(tinyModel());
     EXPECT_EQ(a.run(8).latency(), b.run(8).latency());
+}
+
+// Extra set-prefetch hints on random lines between runs (on top of
+// the engine's own lookahead hints) change no result, counter or
+// tick: runs chained on the previous run's end stay in lockstep.
+TEST(GatherEngine, PrefetchHintsChangeNothing)
+{
+    Rig hinted(tinyModel(3, 20));
+    Rig plain(tinyModel(3, 20));
+    Rng rng(8);
+    Tick hinted_now = 0;
+    Tick plain_now = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        for (int i = 0; i < 2000; ++i)
+            hinted.hier.prefetch(rng.nextBelow(Addr{1} << 36));
+        WorkloadConfig wl;
+        wl.batch = 1 + static_cast<std::uint32_t>(seed * 5 % 32);
+        wl.seed = seed;
+        WorkloadGenerator gen(hinted.model.config(), wl);
+        const auto batch = gen.next();
+        const GatherResult a =
+            hinted.engine.run(hinted.model, batch, hinted_now);
+        const GatherResult b =
+            plain.engine.run(plain.model, batch, plain_now);
+        ASSERT_EQ(a.start, b.start) << "seed " << seed;
+        ASSERT_EQ(a.end, b.end) << "seed " << seed;
+        ASSERT_EQ(a.lookups, b.lookups) << "seed " << seed;
+        ASSERT_EQ(a.bytesGathered, b.bytesGathered) << "seed " << seed;
+        ASSERT_EQ(a.instructions, b.instructions) << "seed " << seed;
+        ASSERT_EQ(a.llcAccesses, b.llcAccesses) << "seed " << seed;
+        ASSERT_EQ(a.llcMisses, b.llcMisses) << "seed " << seed;
+        ASSERT_EQ(a.threadsUsed, b.threadsUsed) << "seed " << seed;
+        hinted_now = a.end;
+        plain_now = b.end;
+    }
+    EXPECT_EQ(hinted.dram.reads(), plain.dram.reads());
+    EXPECT_EQ(hinted.dram.rowHits(), plain.dram.rowHits());
+    EXPECT_EQ(hinted.hier.l1().misses(), plain.hier.l1().misses());
+    EXPECT_EQ(hinted.hier.l2().misses(), plain.hier.l2().misses());
 }
 
 } // namespace

@@ -96,5 +96,48 @@ TEST(AddressMap, AccessorsReflectConstruction)
     EXPECT_EQ(map.linesPerRow(), 256u);
 }
 
+// The interleaving formula as first written, with hardware / and %.
+// AddressMap::map computes it through Divider (shifts and masks for
+// power-of-two geometries, a multiply-high otherwise) and must agree
+// on every address.
+DramCoord
+referenceMap(Addr addr, std::uint32_t channels, std::uint32_t banks,
+             std::uint32_t lines_per_row)
+{
+    const std::uint64_t line = addr / 64;
+    const auto channel =
+        static_cast<std::uint32_t>((line ^ (line >> 7)) % channels);
+    const std::uint64_t chan_line = line / channels;
+    const auto column =
+        static_cast<std::uint32_t>(chan_line % lines_per_row);
+    const std::uint64_t row_major = chan_line / lines_per_row;
+    const std::uint64_t row = row_major / banks;
+    const auto bank =
+        static_cast<std::uint32_t>((row_major ^ row) % banks);
+    return DramCoord{channel, bank, row, column};
+}
+
+TEST(AddressMap, LockstepWithDividingFormula)
+{
+    const std::uint32_t geometries[][3] = {
+        {4, 32, 128}, {6, 48, 256}, {1, 1, 128}};
+    for (const auto &g : geometries) {
+        AddressMap map(g[0], g[1], g[2]);
+        Rng rng(g[0] * 1000 + g[1]);
+        std::vector<Addr> addrs = {0, 63, 64, (Addr{1} << 48) - 1,
+                                   ~Addr{0}};
+        for (int i = 0; i < 100000; ++i)
+            addrs.push_back(rng.next() & ((Addr{1} << 48) - 1));
+        for (const Addr a : addrs) {
+            const DramCoord want = referenceMap(a, g[0], g[1], g[2]);
+            const DramCoord got = map.map(a);
+            ASSERT_EQ(got.channel, want.channel) << std::hex << a;
+            ASSERT_EQ(got.bank, want.bank) << std::hex << a;
+            ASSERT_EQ(got.row, want.row) << std::hex << a;
+            ASSERT_EQ(got.column, want.column) << std::hex << a;
+        }
+    }
+}
+
 } // namespace
 } // namespace centaur

@@ -219,6 +219,41 @@ TEST(DramModel, RefreshClosesRowBuffers)
     EXPECT_FALSE(after.rowHit);
 }
 
+// The window edges of period k: a command starting at
+// k*tREFI - tRFC - 1 proceeds, one starting at k*tREFI - tRFC waits
+// until k*tREFI, and one starting at k*tREFI opens the next period.
+// Large k put the start beyond the refresh divider's multiply-high
+// range (2^64 / tREFI ps, about 2.4 s), onto its divide fallback.
+TEST(DramModel, RefreshWindowEdges)
+{
+    const DramConfig cfg;
+    const Tick refi = ticksFromNs(cfg.tRefiNs);
+    const Tick rfc = ticksFromNs(cfg.tRfcNs);
+    const Tick controller = ticksFromNs(cfg.controllerNs);
+    // A closed bank on an idle bus: activate, CAS, one burst.
+    const Tick service = ticksFromNs(cfg.tRcdNs) +
+                         ticksFromNs(cfg.tCasNs) +
+                         ticksFromNs(cfg.burstNs);
+    for (const std::uint64_t k :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{1000},
+          std::uint64_t{400000}, std::uint64_t{1} << 40}) {
+        const Tick period_end = k * refi;
+        const auto completionAt = [&](Tick start) {
+            DramModel dram(cfg);
+            return dram.access(0, start - controller).completion;
+        };
+        EXPECT_EQ(completionAt(period_end - rfc - 1),
+                  period_end - rfc - 1 + service)
+            << "k=" << k;
+        EXPECT_EQ(completionAt(period_end - rfc), period_end + service)
+            << "k=" << k;
+        EXPECT_EQ(completionAt(period_end - 1), period_end + service)
+            << "k=" << k;
+        EXPECT_EQ(completionAt(period_end), period_end + service)
+            << "k=" << k;
+    }
+}
+
 TEST(DramModel, RefreshDisabledHasNoWindows)
 {
     DramConfig cfg;

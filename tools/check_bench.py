@@ -70,6 +70,11 @@ report: the largest relative deltas are printed, and with
 --threshold F the gate fails when a latency metric regresses (or a
 speedup/throughput metric drops) by more than F (e.g. 0.10 = 10%).
 
+With --identical OLD.json the run must equal a previous report
+exactly, apart from the host-time keys (sim_wall_us and the sim_perf
+wall rates): every differing JSON path is printed and fails the gate.
+Use it when a change must leave every modelled number untouched.
+
 Exit status: 0 pass, 1 check failure, 2 usage/IO error.
 """
 
@@ -226,6 +231,11 @@ WALL_RATE_KEYS = {
     "kernel_speedup",
 }
 WALL_RATE_THRESHOLD = 0.90
+
+# Host-time stamps: the only keys in which two runs of the same
+# simulation may differ. --identical ignores exactly these.
+HOST_TIME_KEYS = WALL_RATE_KEYS | {"sim_wall_us"}
+IDENTICAL_MAX_SHOWN = 50
 
 # Known metric keys that are reported but never gate a baseline diff:
 # configuration knobs echoed into records (peak bandwidths, SLA and
@@ -787,6 +797,43 @@ def diff_baseline(chk, doc, baseline, threshold, top=10):
                      f"{a:g} -> {b:g} ({rel:+.1%} < -{threshold:.0%})")
 
 
+def diff_identical(new, old, path="$"):
+    """JSON paths at which @p new and @p old differ, skipping
+    HOST_TIME_KEYS at any depth. Types must match too (1 vs 1.0)."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        diffs = []
+        for key in sorted(set(new) | set(old)):
+            if key in HOST_TIME_KEYS:
+                continue
+            sub = f"{path}.{key}"
+            if key not in old:
+                diffs.append(f"{sub}: only in the report")
+            elif key not in new:
+                diffs.append(f"{sub}: only in OLD")
+            else:
+                diffs += diff_identical(new[key], old[key], sub)
+        return diffs
+    if isinstance(new, list) and isinstance(old, list):
+        diffs = []
+        if len(new) != len(old):
+            diffs.append(f"{path}: {len(old)} -> {len(new)} items")
+        for i, (a, b) in enumerate(zip(new, old)):
+            diffs += diff_identical(a, b, f"{path}[{i}]")
+        return diffs
+    if type(new) is not type(old) or new != old:
+        return [f"{path}: {old!r} -> {new!r}"]
+    return []
+
+
+def check_identical(chk, doc, old):
+    diffs = diff_identical(doc, old)
+    for msg in diffs[:IDENTICAL_MAX_SHOWN]:
+        chk.fail(f"not identical to OLD at {msg}")
+    if len(diffs) > IDENTICAL_MAX_SHOWN:
+        chk.fail(f"... and {len(diffs) - IDENTICAL_MAX_SHOWN} more "
+                 "differing paths")
+
+
 def load(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -807,6 +854,11 @@ def main():
                         metavar="FRAC",
                         help="fail when a metric regresses vs the "
                              "baseline by more than FRAC (e.g. 0.10)")
+    parser.add_argument("--identical", metavar="OLD",
+                        help="fail on any difference from report OLD "
+                             "outside the host-time keys ("
+                             + ", ".join(sorted(HOST_TIME_KEYS)) +
+                             "), printing each differing JSON path")
     args = parser.parse_args()
 
     doc = load(args.report)
@@ -820,6 +872,8 @@ def main():
         check_invariants(chk, suites)
     if args.baseline:
         diff_baseline(chk, doc, load(args.baseline), args.threshold)
+    if args.identical:
+        check_identical(chk, doc, load(args.identical))
 
     if chk.failures:
         print(f"check_bench: FAIL ({len(chk.failures)} problems)")
